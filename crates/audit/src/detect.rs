@@ -548,8 +548,7 @@ where
     N: Ord + Clone + Debug,
     K: Ord + Clone + Debug,
 {
-    crp_telemetry::profile_scope!("audit.detect_scan");
-    crp_telemetry::mem_domain!("audit.detect");
+    crp_telemetry::stage!(AUDIT_DETECT_SCAN);
     cfg.validate();
     let mut times: Vec<SimTime> = cfg.start.iter_until(cfg.end, cfg.interval).collect();
     if times.last() != Some(&cfg.end) {

@@ -225,7 +225,7 @@ where
     N: Ord + Clone + Debug,
     K: Ord + Clone + Debug,
 {
-    crp_telemetry::profile_scope!("audit.drift_scan");
+    crp_telemetry::stage!(AUDIT_DRIFT_SCAN);
     cfg.validate();
     let mut times: Vec<SimTime> = cfg.start.iter_until(cfg.end, cfg.interval).collect();
     if times.last() != Some(&cfg.end) {

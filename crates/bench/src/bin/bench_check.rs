@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Defaults: `--current results/bench.json`, `--baseline` the
-//! lexicographically last `BENCH_*.json` in the working directory (the
-//! newest snapshot under the `BENCH_<label>` convention), tolerance 20%.
+//! `BENCH_pr<N>.json` in the working directory with the largest `N`
+//! (the newest committed snapshot), tolerance 20%.
 //!
 //! Exit status: 0 when every baseline benchmark is present and within
 //! tolerance, 1 on regression or missing benchmarks, 2 on usage or I/O
@@ -16,7 +16,7 @@
 //! table is printed either way, so a passing run still shows how close
 //! each benchmark sits to the gate.
 
-use crp_bench::harness::{compare, parse_tolerance, BenchReport};
+use crp_bench::harness::{compare, parse_tolerance, snapshot_number, BenchReport};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -55,21 +55,18 @@ fn usage() {
     eprintln!("usage: bench_check [--baseline <file>] [--current <file>] [--tolerance <pct>[%]]");
 }
 
-/// The newest committed snapshot: lexicographically last `BENCH_*.json`
-/// in `dir` (labels sort by convention: `pr3` < `pr4` < ...).
+/// The newest committed snapshot in `dir`: the `BENCH_pr<N>.json` with
+/// the largest `N` (see [`snapshot_number`]).
 fn default_baseline(dir: &Path) -> Option<PathBuf> {
-    let mut snapshots: Vec<PathBuf> = std::fs::read_dir(dir)
+    std::fs::read_dir(dir)
         .ok()?
         .filter_map(|entry| entry.ok())
-        .map(|entry| entry.path())
-        .filter(|path| {
-            path.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+        .filter_map(|entry| {
+            let number = snapshot_number(entry.file_name().to_str()?)?;
+            Some((number, entry.path()))
         })
-        .collect();
-    snapshots.sort();
-    snapshots.pop()
+        .max_by_key(|(number, _)| *number)
+        .map(|(_, path)| path)
 }
 
 fn load_report(path: &Path) -> Result<BenchReport, String> {
@@ -91,7 +88,7 @@ fn main() -> ExitCode {
     let baseline_path = match opts.baseline.or_else(|| default_baseline(Path::new("."))) {
         Some(path) => path,
         None => {
-            eprintln!("bench_check: no --baseline given and no BENCH_*.json snapshot found");
+            eprintln!("bench_check: no --baseline given and no BENCH_pr<N>.json snapshot found");
             return ExitCode::from(2);
         }
     };

@@ -269,6 +269,18 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tolerance_pct: f64
     }
 }
 
+/// The order of committed timing snapshots: the `<N>` of a
+/// `BENCH_pr<N>.json` file name, `None` for any other name. The newest
+/// snapshot is the one with the largest number — filename order would
+/// put `BENCH_pr10.json` before `BENCH_pr5.json`.
+pub fn snapshot_number(file_name: &str) -> Option<u64> {
+    file_name
+        .strip_prefix("BENCH_pr")?
+        .strip_suffix(".json")?
+        .parse()
+        .ok()
+}
+
 /// Parses a tolerance argument: `"50"`, `"50%"`, `"12.5%"` → percent.
 ///
 /// # Errors
@@ -411,8 +423,10 @@ impl MemComparison {
 /// Diffs `current` against `baseline`: a domain budget regresses when
 /// its per-iteration allocation count or raw peak bytes exceed the
 /// baseline by more than `tolerance_pct` percent. Zero-valued baseline
-/// budgets are skipped rather than divided by; domains absent from the
-/// current run count as zero (shrinking is always in-budget).
+/// budgets are skipped rather than divided by. A baseline domain with a
+/// non-zero budget that the current run lacks is *missing*, like a
+/// missing benchmark: read as zero, a renamed domain would silently
+/// un-gate its budget. `missing` lists it as `benchmark/domain`.
 pub fn compare_mem(baseline: &MemReport, current: &MemReport, tolerance_pct: f64) -> MemComparison {
     let limit = 1.0 + tolerance_pct / 100.0;
     let mut regressions = Vec::new();
@@ -425,12 +439,19 @@ pub fn compare_mem(baseline: &MemReport, current: &MemReport, tolerance_pct: f64
         };
         for row in &base.domains {
             checked += 1;
-            let (cur_allocs, cur_peak) = cur
-                .domain(&row.domain)
-                .map_or((0, 0), |d| (d.allocs_per_iter as i64, d.peak_bytes));
+            let Some(cur_row) = cur.domain(&row.domain) else {
+                if row.allocs_per_iter > 0 || row.peak_bytes > 0 {
+                    missing.push(format!("{}/{}", base.name, row.domain));
+                }
+                continue;
+            };
             for (metric, base_val, cur_val) in [
-                ("allocs_per_iter", row.allocs_per_iter as i64, cur_allocs),
-                ("peak_bytes", row.peak_bytes, cur_peak),
+                (
+                    "allocs_per_iter",
+                    row.allocs_per_iter as i64,
+                    cur_row.allocs_per_iter as i64,
+                ),
+                ("peak_bytes", row.peak_bytes, cur_row.peak_bytes),
             ] {
                 if base_val <= 0 {
                     continue;
@@ -687,12 +708,21 @@ mod tests {
     }
 
     #[test]
-    fn compare_mem_treats_vanished_domains_as_zero_and_missing_benchmarks_as_failures() {
-        let base = mem_report("base", &[("bm", &[("a", 1000, 100)]), ("gone", &[])]);
-        let cur = mem_report("cur", &[("bm", &[])]);
-        let cmp = compare_mem(&base, &cur, 10.0);
-        assert!(cmp.regressions.is_empty(), "shrinking to zero is in-budget");
-        assert_eq!(cmp.missing, ["gone"]);
+    fn compare_mem_fails_on_renamed_domains_and_missing_benchmarks() {
+        // `core.select` renamed to `core.rank` must not read as zero and
+        // pass; an idle baseline domain has no budget to lose.
+        let base = mem_report(
+            "base",
+            &[
+                ("bm", &[("core.select", 36_864, 16), ("idle", 0, 0)]),
+                ("gone", &[]),
+            ],
+        );
+        let cur = mem_report("cur", &[("bm", &[("core.rank", 36_864, 16)])]);
+        let cmp = compare_mem(&base, &cur, 50.0);
+        assert!(cmp.regressions.is_empty());
+        assert_eq!(cmp.missing, ["bm/core.select", "gone"]);
+        assert_eq!(cmp.added, ["bm/core.rank"]);
         assert!(!cmp.passed());
     }
 
@@ -702,6 +732,25 @@ mod tests {
         let text = serde_json::to_string(&report).expect("serialize");
         let back: MemReport = serde_json::from_str(&text).expect("parse");
         assert_eq!(back, report);
+    }
+
+    #[test]
+    fn snapshots_order_by_label_number() {
+        let mut names = ["BENCH_pr10.json", "BENCH_pr5.json", "BENCH_pr3.json"];
+        names.sort_by_key(|n| snapshot_number(n));
+        assert_eq!(
+            names,
+            ["BENCH_pr3.json", "BENCH_pr5.json", "BENCH_pr10.json"]
+        );
+        assert_eq!(snapshot_number("BENCH_pr10.json"), Some(10));
+        for other in [
+            "BENCH_ci.json",
+            "BENCH_pr.json",
+            "BENCH_pr5.json.bak",
+            "MEM_BASELINE.json",
+        ] {
+            assert_eq!(snapshot_number(other), None, "{other}");
+        }
     }
 
     #[test]

@@ -753,12 +753,10 @@ impl AuthoritativeServer for Cdn {
         resolver: HostId,
         now: SimTime,
     ) -> Option<DnsResponse> {
-        crp_telemetry::profile_scope!("cdn.authoritative_answer");
-        crp_telemetry::mem_domain!("cdn.answer");
+        crp_telemetry::stage!(CDN_AUTHORITATIVE_ANSWER, now.as_millis());
         let customer_idx = *self.by_domain.get(query)?;
         let customer = &self.customers[customer_idx];
         self.queries_answered.fetch_add(1, Ordering::Relaxed);
-        crp_telemetry::counter_add_at(now.as_millis(), "cdn.queries", 1);
         // The redirection event is where a causal trace is born: the id
         // is a pure function of the deterministic inputs, so the same
         // seeded run mints the same ids.
@@ -770,7 +768,11 @@ impl AuthoritativeServer for Cdn {
                 customer_idx as u64,
             ]);
             // crp-lint: allow(CRP014) — trace mint allocates only for sampled traces, capped per trace
-            crp_telemetry::trace::begin(id, now.as_millis(), "cdn.redirect");
+            crp_telemetry::trace::begin(
+                id,
+                now.as_millis(),
+                crp_telemetry::stage::CDN_AUTHORITATIVE_ANSWER.name,
+            );
         }
 
         SCRATCH.with(|cell| {

@@ -274,8 +274,7 @@ impl<N: Ord + Clone> Clustering<N> {
         N: std::fmt::Debug,
         K: Ord + Clone + std::fmt::Debug,
     {
-        crp_telemetry::profile_scope!("core.smf");
-        crp_telemetry::mem_domain!("core.cluster");
+        crp_telemetry::stage!(CORE_SMF);
         cfg.validate();
         let ids: BTreeSet<&N> = nodes.iter().map(|(n, _)| n).collect();
         assert_eq!(ids.len(), nodes.len(), "duplicate node ids");
@@ -286,7 +285,6 @@ impl<N: Ord + Clone> Clustering<N> {
             };
         }
 
-        crp_telemetry::counter_add("core.smf.runs", 1);
         if crp_telemetry::enabled() {
             for (_, map) in nodes {
                 crp_telemetry::observe_unit("core.smf.mapping_strength", map.strongest().1);

@@ -37,9 +37,9 @@
 
 use crate::ratio::RatioMap;
 use crate::similarity::SimilarityMetric;
+use crp_telemetry::stage;
 use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Cap per record kind; past it, records are counted as dropped.
@@ -181,7 +181,6 @@ impl ExplainLog {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static LOG: Mutex<Option<ExplainLog>> = Mutex::new(None);
 
 fn log_slot() -> MutexGuard<'static, Option<ExplainLog>> {
@@ -192,21 +191,21 @@ fn log_slot() -> MutexGuard<'static, Option<ExplainLog>> {
 /// (one relaxed atomic load) before formatting any record content.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    stage::armed(stage::EXPLAIN)
 }
 
 /// Starts a fresh provenance log, discarding any previous one.
 pub fn start() {
     let mut slot = log_slot();
     *slot = Some(ExplainLog::new());
-    ENABLED.store(true, Ordering::Release);
+    stage::arm(stage::EXPLAIN);
 }
 
 /// Stops recording and returns the accumulated log, or `None` if
 /// [`start`] was never called.
 pub fn finish() -> Option<ExplainLog> {
     let mut slot = log_slot();
-    ENABLED.store(false, Ordering::Release);
+    stage::disarm(stage::EXPLAIN);
     slot.take()
 }
 

@@ -44,8 +44,7 @@ impl<N: Ord> Ranking<N> {
         K: Ord + Clone + std::fmt::Debug + 'a,
         I: IntoIterator<Item = (N, &'a RatioMap<K>)>,
     {
-        crp_telemetry::profile_scope!("core.rank");
-        crp_telemetry::mem_domain!("core.select");
+        crp_telemetry::stage!(CORE_RANK);
         let mut entries: Vec<(N, f64)> = candidates
             .into_iter()
             .map(|(n, map)| {
@@ -58,10 +57,9 @@ impl<N: Ord> Ranking<N> {
             // crp-lint: allow(CRP014) — explain hook behind the enabled() gate; off on serving paths
             crate::explain::record_ranking(&entries);
         }
-        crp_telemetry::counter_add("core.ranking.builds", 1);
-        crp_telemetry::trace::query_stage("core.ranking");
+        crp_telemetry::trace::query_stage(crp_telemetry::stage::CORE_RANK.name);
         if let Some((_, top)) = entries.first() {
-            crp_telemetry::observe_unit("core.ranking.top_score", *top);
+            crp_telemetry::observe_unit("core.rank.top_score", *top);
         }
         crate::debug_invariant!(
             // crp-lint: allow(CRP014) — debug-assertions-only invariant check; compiled out in release

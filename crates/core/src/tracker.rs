@@ -3,6 +3,7 @@
 use crate::observation::Observation;
 use crate::ratio::{RatioMap, RatioMapError};
 use crp_netsim::{SimDuration, SimTime};
+use crp_telemetry::stage;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -89,7 +90,7 @@ impl<K: Ord + Clone> RedirectionTracker<K> {
     /// Panics if `servers` is empty or `time` precedes the previous
     /// observation.
     pub fn record(&mut self, time: SimTime, servers: Vec<K>) {
-        crp_telemetry::mem_domain!("core.tracker");
+        crp_telemetry::stage!(CORE_TRACKER, time.as_millis());
         if let Some(last) = self.observations.back() {
             assert!(
                 time >= last.time,
@@ -97,8 +98,7 @@ impl<K: Ord + Clone> RedirectionTracker<K> {
             );
         }
         self.observations.push_back(Observation::new(time, servers));
-        crp_telemetry::trace::stage_at(time.as_millis(), "core.tracker.record");
-        crp_telemetry::counter_add_at(time.as_millis(), "core.tracker.observations", 1);
+        crp_telemetry::trace::stage_at(time.as_millis(), stage::CORE_TRACKER.name);
         if let Some(cap) = self.capacity {
             while self.observations.len() > cap {
                 self.observations.pop_front();
@@ -121,7 +121,7 @@ impl<K: Ord + Clone> RedirectionTracker<K> {
     /// Panics if `servers` is empty or `time` precedes the previous
     /// observation.
     pub fn record_slice(&mut self, time: SimTime, servers: &[K]) {
-        crp_telemetry::mem_domain!("core.tracker");
+        crp_telemetry::stage!(CORE_TRACKER, time.as_millis());
         assert!(!servers.is_empty(), "observations must carry servers");
         if let Some(last) = self.observations.back() {
             assert!(
@@ -140,8 +140,7 @@ impl<K: Ord + Clone> RedirectionTracker<K> {
                 recycled.servers.clear();
                 recycled.servers.extend_from_slice(servers);
                 self.observations.push_back(recycled);
-                crp_telemetry::trace::stage_at(time.as_millis(), "core.tracker.record");
-                crp_telemetry::counter_add_at(time.as_millis(), "core.tracker.observations", 1);
+                crp_telemetry::trace::stage_at(time.as_millis(), stage::CORE_TRACKER.name);
                 return;
             }
         }
@@ -149,8 +148,7 @@ impl<K: Ord + Clone> RedirectionTracker<K> {
         // crp-lint: allow(CRP009) — one-time warm-up copy; steady state recycles evicted buffers
         let owned = servers.to_vec();
         self.observations.push_back(Observation::new(time, owned));
-        crp_telemetry::trace::stage_at(time.as_millis(), "core.tracker.record");
-        crp_telemetry::counter_add_at(time.as_millis(), "core.tracker.observations", 1);
+        crp_telemetry::trace::stage_at(time.as_millis(), stage::CORE_TRACKER.name);
     }
 
     /// Number of observations currently held.
@@ -206,9 +204,7 @@ impl<K: Ord + Clone> RedirectionTracker<K> {
         window: WindowPolicy,
         now: SimTime,
     ) -> Result<RatioMap<K>, RatioMapError> {
-        crp_telemetry::profile_scope!("core.ratio_map");
-        crp_telemetry::mem_domain!("core.ratio_map");
-        crp_telemetry::counter_add("core.ratio_map.builds", 1);
+        crp_telemetry::stage!(CORE_RATIO_MAP);
         // Only history known at `now` participates. Every window policy
         // reduces to a (skip, min_time) pair over that prefix, so one
         // concrete iterator chain serves all three — no boxed trait
@@ -232,7 +228,7 @@ impl<K: Ord + Clone> RedirectionTracker<K> {
                 .skip(skip)
                 .filter(|o| o.time >= min_time)
             {
-                crp_telemetry::trace::resume(o.trace, now.as_millis(), "core.ratio_map");
+                crp_telemetry::trace::resume(o.trace, now.as_millis(), stage::CORE_RATIO_MAP.name);
             }
         }
         let selected = self

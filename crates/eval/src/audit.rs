@@ -4,11 +4,12 @@
 //! The division of labour mirrors `telemetry.rs`: the *judgement* logic
 //! (what counts as drift, what counts as healthy) lives in `crp-audit`
 //! where it is unit-testable without files; this module owns the file
-//! layout. An audited run leaves three kinds of artifacts in the
-//! `--audit` directory:
+//! layout. An observed run leaves two kinds of audit artifacts in the
+//! `--observe` directory, and this module joins them:
 //!
 //! * `<experiment>_drift.json` — a [`DriftTimeline`] from the
-//!   post-campaign drift scan (written here by [`write_drift`]);
+//!   post-campaign drift scan (written by the auditing binaries through
+//!   [`crate::telemetry::write_artifact`]);
 //! * `<experiment>_provenance.json` — the drained
 //!   [`crp_core::explain::ExplainLog`] (written by the telemetry
 //!   session on drop);
@@ -106,25 +107,6 @@ pub fn record_inversions(outcomes: &[ClientOutcome], candidates: usize) -> (u64,
     (total, unexplained)
 }
 
-/// Writes `timeline` as JSON to `<dir>/<experiment>_drift.json` and
-/// prints the path, mirroring the telemetry session's summary output.
-/// Failures degrade to a warning: the drift file is an observer
-/// artifact and must never abort an experiment.
-pub fn write_drift(dir: &Path, experiment: &str, timeline: &DriftTimeline) {
-    let write = || -> std::io::Result<PathBuf> {
-        let json = serde_json::to_string(timeline)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{experiment}_drift.json"));
-        fs::write(&path, json + "\n")?;
-        Ok(path)
-    };
-    match write() {
-        Ok(path) => println!("  [wrote {}]", path.display()),
-        Err(err) => eprintln!("[audit] cannot write drift timeline: {err}"),
-    }
-}
-
 /// Per-experiment provenance roll-up extracted from an
 /// `<experiment>_provenance.json` file.
 struct ProvenanceSummary {
@@ -169,23 +151,32 @@ impl ProvenanceSummary {
     }
 }
 
-/// Lists `audit_dir` entries with the given suffix as sorted
-/// `(experiment, path)` pairs; the sort keeps the report byte-stable
-/// regardless of directory iteration order.
-fn artifacts(audit_dir: &Path, suffix: &str) -> Vec<(String, PathBuf)> {
-    let Ok(entries) = fs::read_dir(audit_dir) else {
-        return Vec::new();
+/// Reads every `<experiment><suffix>` file in `dir` as sorted
+/// `(experiment, raw value, typed value)` triples; the sort keeps the
+/// report byte-stable regardless of directory iteration order.
+fn artifacts<T: Deserialize>(dir: &Path, suffix: &str) -> Result<Vec<(String, Value, T)>, String> {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return Ok(Vec::new());
     };
     let mut found: Vec<(String, PathBuf)> = entries
         .filter_map(|e| {
             let path = e.ok()?.path();
-            let name = path.file_name()?.to_str()?;
-            let experiment = name.strip_suffix(suffix)?;
+            let experiment = path.file_name()?.to_str()?.strip_suffix(suffix)?;
             Some((experiment.to_owned(), path.clone()))
         })
         .collect();
     found.sort();
     found
+        .into_iter()
+        .map(|(experiment, path)| {
+            let raw = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+            let value = serde_json::parse(&raw)
+                .map_err(|e| format!("{}: malformed: {e}", path.display()))?;
+            let typed = T::from_value(&value)
+                .map_err(|e| format!("{}: unexpected shape: {e}", path.display()))?;
+            Ok((experiment, value, typed))
+        })
+        .collect()
 }
 
 /// Extracts `(name, p50_ns)` pairs from a bench report JSON value
@@ -271,7 +262,7 @@ fn failed_experiments(summary: &Value) -> Vec<String> {
         .collect()
 }
 
-/// Joins every audit artifact in `audit_dir` with the telemetry summary
+/// Joins every audit artifact in `observe_dir` with the telemetry summary
 /// and bench baselines under `out_dir` into
 /// `<out_dir>/audit_report.json`, and returns the health verdicts that
 /// went into it (all three always present, failed checks first kept in
@@ -283,28 +274,18 @@ fn failed_experiments(summary: &Value) -> Vec<String> {
 /// output directory; *missing* inputs are not errors — each section
 /// reports what it found and the corresponding verdict passes as
 /// skipped.
-pub fn generate_report(audit_dir: &Path, out_dir: &str) -> Result<Vec<HealthVerdict>, String> {
-    let mut timelines: Vec<(String, DriftTimeline)> = Vec::new();
-    let mut drift_values: Vec<(String, Value)> = Vec::new();
-    for (experiment, path) in artifacts(audit_dir, "_drift.json") {
-        let raw = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let value =
-            serde_json::parse(&raw).map_err(|e| format!("{}: malformed: {e}", path.display()))?;
-        let timeline = DriftTimeline::from_value(&value)
-            .map_err(|e| format!("{}: unexpected shape: {e}", path.display()))?;
-        timelines.push((experiment.clone(), timeline));
-        drift_values.push((experiment, value));
-    }
-
-    let mut provenance: Vec<ProvenanceSummary> = Vec::new();
-    for (experiment, path) in artifacts(audit_dir, "_provenance.json") {
-        let raw = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let value =
-            serde_json::parse(&raw).map_err(|e| format!("{}: malformed: {e}", path.display()))?;
-        let log = ExplainLog::from_value(&value)
-            .map_err(|e| format!("{}: unexpected shape: {e}", path.display()))?;
-        provenance.push(ProvenanceSummary::from_log(experiment, &log));
-    }
+pub fn generate_report(observe_dir: &Path, out_dir: &str) -> Result<Vec<HealthVerdict>, String> {
+    let drift = artifacts::<DriftTimeline>(observe_dir, "_drift.json")?;
+    let timelines: Vec<(String, DriftTimeline)> = drift
+        .iter()
+        .map(|(e, _, t)| (e.clone(), t.clone()))
+        .collect();
+    let drift_values: Vec<(String, Value)> = drift.into_iter().map(|(e, v, _)| (e, v)).collect();
+    let provenance: Vec<ProvenanceSummary> =
+        artifacts::<ExplainLog>(observe_dir, "_provenance.json")?
+            .into_iter()
+            .map(|(experiment, _, log)| ProvenanceSummary::from_log(experiment, &log))
+            .collect();
 
     let out_path = Path::new(out_dir);
     let telemetry_summary = fs::read_to_string(out_path.join("telemetry_summary.json"))
@@ -329,7 +310,7 @@ pub fn generate_report(audit_dir: &Path, out_dir: &str) -> Result<Vec<HealthVerd
     let document = Value::Object(vec![
         (
             "audit_dir".to_owned(),
-            Value::String(audit_dir.display().to_string()),
+            Value::String(observe_dir.display().to_string()),
         ),
         ("healthy".to_owned(), Value::Bool(healthy)),
         (
@@ -400,7 +381,7 @@ mod tests {
         let results = dir.join("results");
         fs::create_dir_all(&audit_dir).expect("mkdir");
 
-        write_drift(&audit_dir, "exp_a", &timeline());
+        crate::telemetry::write_artifact(&audit_dir, "exp_a", "drift", &timeline());
         let mut log = ExplainLog::default();
         log.inversions.push(crp_core::explain::InversionRecord {
             client: "c1".to_owned(),

@@ -111,7 +111,7 @@ fn main() {
     // history — this is the run that exercises CDN remap detection, so
     // it scans the whole horizon at route-epoch granularity with the
     // clustering diff enabled.
-    if let Some(audit_dir) = telemetry.audit_dir() {
+    if let Some(dir) = telemetry.observe_dir() {
         let drift_cfg = crp_audit::drift::DriftConfig::new(
             SimTime::from_hours(2),
             horizon,
@@ -132,6 +132,6 @@ fn main() {
             ("remap events", timeline.remap_events.len().to_string()),
             ("drift events", timeline.drift_event_count().to_string()),
         ]);
-        crp_eval::audit::write_drift(audit_dir, "ablation_cluster_stability", &timeline);
+        crp_eval::telemetry::write_artifact(dir, "ablation_cluster_stability", "drift", &timeline);
     }
 }

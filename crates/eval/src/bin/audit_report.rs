@@ -1,16 +1,16 @@
 //! Standalone audit-report generator:
 //!
 //! ```text
-//! audit_report [--audit <dir>] [--out <dir>]
+//! audit_report [--observe <dir>] [--out <dir>]
 //! ```
 //!
-//! Joins the drift timelines and provenance logs an audited run left in
-//! the `--audit` directory with `<out>/telemetry_summary.json` and the
-//! bench baselines into `<out>/audit_report.json`, and prints the three
-//! run-health verdicts. `run_all --audit` does the same join at the end
-//! of a full campaign; this binary re-generates the report from
-//! existing artifacts (e.g. after a single re-run experiment, or to
-//! re-judge with a fresh bench baseline). Exits 1 when any verdict
+//! Joins the drift timelines and provenance logs an observed run left
+//! in the `--observe` directory with `<out>/telemetry_summary.json` and
+//! the bench baselines into `<out>/audit_report.json`, and prints the
+//! three run-health verdicts. `run_all --observe` does the same join
+//! at the end of a full campaign; this binary re-generates the report
+//! from existing artifacts (e.g. after a single re-run experiment, or
+//! to re-judge with a fresh bench baseline). Exits 1 when any verdict
 //! fails, 2 on malformed artifacts.
 
 use crp_eval::EvalArgs;
@@ -19,11 +19,11 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args = EvalArgs::parse();
-    let Some(audit_dir) = args.audit.as_deref() else {
-        eprintln!("audit_report: --audit <dir> is required (where the run wrote its artifacts)");
+    let Some(dir) = args.observe.as_deref() else {
+        eprintln!("audit_report: --observe <dir> is required (where the run wrote its artifacts)");
         return ExitCode::from(2);
     };
-    match crp_eval::audit::generate_report(Path::new(audit_dir), &args.out_dir) {
+    match crp_eval::audit::generate_report(Path::new(dir), &args.out_dir) {
         Ok(verdicts) => {
             let mut all_passed = true;
             for v in &verdicts {

@@ -9,7 +9,7 @@
 //! every detection against the ground-truth event log. Emits detection
 //! latency, precision/recall, false-alarm rate, and per-event ratio-map
 //! re-convergence times to `results/change_detection.json` (plus a CSV
-//! table), and the raw detection report into the `--audit` directory.
+//! table), and the raw detection report into the `--observe` directory.
 
 use crp::{Scenario, ScenarioConfig};
 use crp_audit::detect::{DetectConfig, DetectionReport};
@@ -145,10 +145,10 @@ fn main() {
     );
     write_json(&args.out_dir, &args, &eval, &report);
 
-    // Audit artifact: the raw window stream and change list, for
+    // Observer artifact: the raw window stream and change list, for
     // post-hoc inspection next to the drift timelines.
-    if let Some(audit_dir) = telemetry.audit_dir() {
-        write_report(audit_dir, &report);
+    if let Some(dir) = telemetry.observe_dir() {
+        crp_eval::telemetry::write_artifact(dir, "change_detection", "detect", &report);
     }
 }
 
@@ -189,19 +189,5 @@ fn write_json(
     match write() {
         Ok(()) => println!("  [wrote {}/change_detection.json]", out_dir),
         Err(err) => eprintln!("[change_detection] cannot write results: {err}"),
-    }
-}
-
-/// Writes the full detection report into the audit directory.
-fn write_report(dir: &Path, report: &DetectionReport) {
-    let write = || -> std::io::Result<()> {
-        fs::create_dir_all(dir)?;
-        let json = serde_json::to_string(report)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        fs::write(dir.join("change_detection_detect.json"), json + "\n")
-    };
-    match write() {
-        Ok(()) => println!("  [wrote {}/change_detection_detect.json]", dir.display()),
-        Err(err) => eprintln!("[change_detection] cannot write detection report: {err}"),
     }
 }

@@ -33,7 +33,7 @@ fn main() {
     // Audit pass: classify tail-rank inversions into the provenance log
     // and drift-scan the candidates' recorded history. Both read state
     // the experiment already produced — nothing upstream changes.
-    if let Some(audit_dir) = telemetry.audit_dir() {
+    if let Some(dir) = telemetry.observe_dir() {
         let (total, unexplained) =
             crp_eval::audit::record_inversions(&run.outcomes, cfg.candidates);
         let mut drift_cfg = DriftConfig::new(
@@ -56,7 +56,7 @@ fn main() {
             ),
             ("remap events", timeline.remap_events.len().to_string()),
         ]);
-        crp_eval::audit::write_drift(audit_dir, "fig4_closest_latency", &timeline);
+        crp_eval::telemetry::write_artifact(dir, "fig4_closest_latency", "drift", &timeline);
     }
 
     let meridian: Vec<f64> = run.outcomes.iter().map(|o| o.meridian_ms).collect();

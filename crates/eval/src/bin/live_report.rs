@@ -1,4 +1,4 @@
-//! Text dashboard over a `--live` run's artifacts:
+//! Text dashboard over an `--observe` run's artifacts:
 //!
 //! ```text
 //! live_report <dir> <experiment>

@@ -5,27 +5,27 @@
 //! cargo run --release -p crp-eval --bin run_all [-- --seed 42 ...]
 //! ```
 //!
-//! Flags are forwarded verbatim to every experiment, so `--telemetry
-//! <dir>` makes each binary dump its own JSONL stream and summary there
-//! (and `--profile <dir>` its wall-clock scope tree); run_all then folds
-//! the per-experiment summaries into `<out>/telemetry_summary.json`,
-//! together with per-experiment wall-clock durations, peak RSS
-//! (best-effort, Linux `/proc`), a `combined` cross-experiment
-//! roll-up, and the list of failed experiments. With `--audit <dir>`
-//! each binary additionally writes drift timelines and decision
-//! provenance there, and run_all joins them into
-//! `<out>/audit_report.json` with run-health verdicts. With `--live
-//! <dir>` each binary writes its SimTime time-series store, sampled
-//! causal traces, and SLO alert log there, and run_all joins the alert
-//! logs into `<out>/alerts.json` with a cross-run firing count; the
-//! summary also gains a `timeseries_health` section surfacing each
-//! store's late-point and series-capacity drop counters. With `--mem
-//! <dir>` each binary arms allocation attribution and writes its
-//! per-domain snapshot there, and run_all joins the snapshots into
-//! `<out>/mem_report.json` with per-experiment attributed fractions.
+//! Flags are forwarded verbatim to every experiment. With `--observe
+//! <dir>` each binary writes its observer artifacts there (see
+//! `crp_eval::telemetry`), and run_all joins them into four files under
+//! `<out>`:
 //!
-//! All durations come from [`Stopwatch`] — the same monotonic clock the
-//! profiler uses — so coarse and fine-grained attribution share a basis.
+//! - `telemetry_summary.json`: the per-experiment summaries, their
+//!   `combined` roll-up, per-experiment wall-clock durations and peak
+//!   RSS (best-effort, Linux `/proc`), each time-series store's
+//!   late-point and series-capacity drop counters, and the list of
+//!   failed experiments (written on every run, even without
+//!   `--observe`);
+//! - `audit_report.json`: drift timelines and decision provenance
+//!   joined into run-health verdicts;
+//! - `alerts.json`: the SLO alert logs with a cross-run firing count;
+//! - `mem_report.json`: the allocation snapshots with per-experiment
+//!   attributed fractions.
+//!
+//! `--profile <dir>` makes each binary write its wall-clock scope tree
+//! there. All durations come from [`Stopwatch`] — the same monotonic
+//! clock the profiler uses — so coarse and fine-grained attribution
+//! share a basis.
 
 use crp_eval::EvalArgs;
 use crp_telemetry::profile::{peak_rss_bytes_for, Stopwatch};
@@ -98,23 +98,21 @@ fn main() {
     }
 
     // Fold the per-experiment telemetry summaries plus the wall-clock
-    // attribution into one file.
-    if let Ok(parsed) = EvalArgs::try_from_args(args.clone()) {
-        if parsed.telemetry.is_some() || !runs.is_empty() {
-            let tdir = parsed.telemetry.as_deref().map(Path::new);
-            let ldir = parsed.live.as_deref().map(Path::new);
-            match aggregate_summaries(tdir, ldir, &parsed.out_dir, &runs, &failures) {
-                Ok(n) => eprintln!("[run_all] aggregated {n} telemetry summaries"),
-                Err(err) => {
-                    eprintln!("[run_all] telemetry aggregation failed: {err}");
-                    failures.push("telemetry_aggregation");
-                }
+    // attribution into one file, then join the other observer
+    // artifacts (the audit report folds in the summary, so it comes
+    // after).
+    if let Ok(parsed) = EvalArgs::try_from_args(args) {
+        let observe = parsed.observe.as_deref().map(Path::new);
+        let out_dir = parsed.out_dir.as_str();
+        match aggregate_summaries(observe, out_dir, &runs, &failures) {
+            Ok(n) => eprintln!("[run_all] aggregated {n} telemetry summaries"),
+            Err(err) => {
+                eprintln!("[run_all] telemetry aggregation failed: {err}");
+                failures.push("telemetry_aggregation");
             }
         }
-        // Join the per-experiment audit artifacts into the run-health
-        // report (after the summary, which the report folds in).
-        if let Some(audit_dir) = parsed.audit.as_deref() {
-            match crp_eval::audit::generate_report(Path::new(audit_dir), &parsed.out_dir) {
+        if let Some(dir) = observe {
+            match crp_eval::audit::generate_report(dir, out_dir) {
                 Ok(verdicts) => {
                     for v in &verdicts {
                         let mark = if v.passed { "ok " } else { "FAIL" };
@@ -126,11 +124,7 @@ fn main() {
                     failures.push("audit_report");
                 }
             }
-        }
-        // Join the per-experiment alert logs so one file answers "did
-        // any SLO fire anywhere in the run".
-        if let Some(live_dir) = parsed.live.as_deref() {
-            match aggregate_alerts(Path::new(live_dir), &parsed.out_dir) {
+            match aggregate_alerts(dir, out_dir) {
                 Ok((n, firing)) => {
                     eprintln!("[run_all] aggregated {n} alert logs, {firing} rule(s) firing");
                 }
@@ -139,11 +133,7 @@ fn main() {
                     failures.push("alert_aggregation");
                 }
             }
-        }
-        // Join the per-experiment attribution snapshots so one file
-        // answers "which subsystem allocated what" across the run.
-        if let Some(mem_dir) = parsed.mem.as_deref() {
-            match aggregate_mem(Path::new(mem_dir), &parsed.out_dir) {
+            match aggregate_mem(dir, out_dir) {
                 Ok(n) => eprintln!("[run_all] aggregated {n} memory snapshots"),
                 Err(err) => {
                     eprintln!("[run_all] memory aggregation failed: {err}");
@@ -161,23 +151,48 @@ fn main() {
     }
 }
 
-/// Collects every `<live_dir>/<exp>_alerts.json` into
+/// Reads `<dir>/<exp>_<kind>.json` for every experiment that left one,
+/// in experiment order, as `(experiment, raw value, typed value)`. A
+/// missing file means the experiment failed or ran unobserved.
+fn read_artifacts<T: Deserialize>(
+    dir: &Path,
+    kind: &str,
+) -> Result<Vec<(&'static str, Value, T)>, String> {
+    let mut found = Vec::new();
+    for exp in EXPERIMENTS {
+        let path = dir.join(format!("{exp}_{kind}.json"));
+        let Ok(raw) = std::fs::read_to_string(&path) else {
+            continue;
+        };
+        let value = serde_json::parse(&raw)
+            .map_err(|e| format!("{}: malformed {kind}: {e}", path.display()))?;
+        let typed = T::from_value(&value)
+            .map_err(|e| format!("{}: unexpected shape: {e}", path.display()))?;
+        found.push((*exp, value, typed));
+    }
+    Ok(found)
+}
+
+/// Writes one joined document to `<out_dir>/<file>`.
+fn write_joined(out_dir: &str, file: &str, document: &Value) -> Result<(), String> {
+    let json = serde_json::to_string(document).map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(out_dir).map_err(|e| e.to_string())?;
+    let out_path = Path::new(out_dir).join(file);
+    std::fs::write(&out_path, json + "\n").map_err(|e| e.to_string())?;
+    eprintln!("[run_all] wrote {}", out_path.display());
+    Ok(())
+}
+
+/// Collects every `<dir>/<exp>_alerts.json` into
 /// `<out_dir>/alerts.json`: an object with `experiments` (per-experiment
 /// alert logs, each wrapped with its name and the rules it left firing)
 /// and `firing_total`, the cross-run count of still-firing rules.
 /// Returns `(logs_folded, firing_total)`.
-fn aggregate_alerts(live_dir: &Path, out_dir: &str) -> Result<(usize, usize), String> {
-    let mut entries: Vec<Value> = Vec::new();
+fn aggregate_alerts(dir: &Path, out_dir: &str) -> Result<(usize, usize), String> {
+    let logs = read_artifacts::<crp_telemetry::alert::AlertLog>(dir, "alerts")?;
     let mut firing_total = 0usize;
-    for exp in EXPERIMENTS {
-        let path = live_dir.join(format!("{exp}_alerts.json"));
-        let Ok(raw) = std::fs::read_to_string(&path) else {
-            continue; // experiment failed or ran without --live
-        };
-        let value = serde_json::parse(&raw)
-            .map_err(|e| format!("{}: malformed alert log: {e}", path.display()))?;
-        let log = crp_telemetry::alert::AlertLog::from_value(&value)
-            .map_err(|e| format!("{}: unexpected shape: {e}", path.display()))?;
+    let mut entries: Vec<Value> = Vec::new();
+    for (exp, value, log) in &logs {
         let firing = log.firing();
         firing_total += firing.len();
         entries.push(Value::Object(vec![
@@ -191,40 +206,28 @@ fn aggregate_alerts(live_dir: &Path, out_dir: &str) -> Result<(usize, usize), St
                         .collect(),
                 ),
             ),
-            ("alerts".to_owned(), value),
+            ("alerts".to_owned(), value.clone()),
         ]));
     }
-    let count = entries.len();
     let document = Value::Object(vec![
         ("experiments".to_owned(), Value::Array(entries)),
         ("firing_total".to_owned(), Value::UInt(firing_total as u64)),
     ]);
-    let json = serde_json::to_string(&document).map_err(|e| e.to_string())?;
-    std::fs::create_dir_all(out_dir).map_err(|e| e.to_string())?;
-    let out_path = Path::new(out_dir).join("alerts.json");
-    std::fs::write(&out_path, json + "\n").map_err(|e| e.to_string())?;
-    eprintln!("[run_all] wrote {}", out_path.display());
-    Ok((count, firing_total))
+    write_joined(out_dir, "alerts.json", &document)?;
+    Ok((logs.len(), firing_total))
 }
 
-/// Collects every `<mem_dir>/<exp>_mem.json` into
+/// Collects every `<dir>/<exp>_mem.json` into
 /// `<out_dir>/mem_report.json`: an object with `experiments` (each
 /// snapshot wrapped with its name, total allocation count, and
 /// attributed fraction) and `attributed_fraction_min`, the worst
 /// per-experiment fraction — the single number a dashboard gates on.
 /// Returns how many snapshots were folded in.
-fn aggregate_mem(mem_dir: &Path, out_dir: &str) -> Result<usize, String> {
-    let mut entries: Vec<Value> = Vec::new();
+fn aggregate_mem(dir: &Path, out_dir: &str) -> Result<usize, String> {
+    let snaps = read_artifacts::<crp_telemetry::MemSnapshot>(dir, "mem")?;
     let mut min_fraction: Option<f64> = None;
-    for exp in EXPERIMENTS {
-        let path = mem_dir.join(format!("{exp}_mem.json"));
-        let Ok(raw) = std::fs::read_to_string(&path) else {
-            continue; // experiment failed or ran without --mem
-        };
-        let value = serde_json::parse(&raw)
-            .map_err(|e| format!("{}: malformed mem snapshot: {e}", path.display()))?;
-        let snap = crp_telemetry::MemSnapshot::from_value(&value)
-            .map_err(|e| format!("{}: unexpected shape: {e}", path.display()))?;
+    let mut entries: Vec<Value> = Vec::new();
+    for (exp, value, snap) in &snaps {
         let fraction = snap.attributed_fraction();
         min_fraction = Some(min_fraction.map_or(fraction, |m: f64| m.min(fraction)));
         entries.push(Value::Object(vec![
@@ -232,10 +235,9 @@ fn aggregate_mem(mem_dir: &Path, out_dir: &str) -> Result<usize, String> {
             ("total_allocs".to_owned(), Value::UInt(snap.total_allocs())),
             ("total_bytes".to_owned(), Value::UInt(snap.total_bytes())),
             ("attributed_fraction".to_owned(), Value::Float(fraction)),
-            ("mem".to_owned(), value),
+            ("mem".to_owned(), value.clone()),
         ]));
     }
-    let count = entries.len();
     let document = Value::Object(vec![
         ("experiments".to_owned(), Value::Array(entries)),
         (
@@ -243,12 +245,8 @@ fn aggregate_mem(mem_dir: &Path, out_dir: &str) -> Result<usize, String> {
             min_fraction.map_or(Value::Null, Value::Float),
         ),
     ]);
-    let json = serde_json::to_string(&document).map_err(|e| e.to_string())?;
-    std::fs::create_dir_all(out_dir).map_err(|e| e.to_string())?;
-    let out_path = Path::new(out_dir).join("mem_report.json");
-    std::fs::write(&out_path, json + "\n").map_err(|e| e.to_string())?;
-    eprintln!("[run_all] wrote {}", out_path.display());
-    Ok(count)
+    write_joined(out_dir, "mem_report.json", &document)?;
+    Ok(snaps.len())
 }
 
 /// Spawns one experiment and supervises it to completion, sampling its
@@ -280,25 +278,23 @@ fn run_experiment(path: &Path, args: &[String]) -> Result<(f64, Option<u64>), St
     }
 }
 
-/// Collects every `<telemetry_dir>/<exp>_summary.json` into
+/// Collects every `<dir>/<exp>_summary.json` into
 /// `<out_dir>/telemetry_summary.json` as an object with five keys:
 /// `experiments` (the per-experiment summaries, in experiment order),
 /// `wall_clock` (per-experiment seconds and peak RSS measured by
 /// run_all), `combined` (all summaries merged into one roll-up),
 /// `timeseries_health` (per-experiment late-point and series-capacity
-/// drop counters read back from the `--live` stores, so silent data
+/// drop counters read back from the time-series stores, so silent data
 /// loss in the observability layer itself is visible in the artifact),
 /// and `failed_experiments` (names that failed so far, so a partial run
 /// is visible in the artifact and not just in the exit code). Returns
 /// how many summaries were folded in.
 fn aggregate_summaries(
-    telemetry_dir: Option<&Path>,
-    live_dir: Option<&Path>,
+    dir: Option<&Path>,
     out_dir: &str,
     runs: &[ExperimentRun],
     failures: &[&str],
 ) -> Result<usize, String> {
-    let mut entries: Vec<Value> = Vec::new();
     let mut combined = TelemetrySummary {
         experiment: "combined".to_owned(),
         events_recorded: 0,
@@ -308,51 +304,38 @@ fn aggregate_summaries(
         gauges: Vec::new(),
         histograms: Vec::new(),
     };
-    if let Some(tdir) = telemetry_dir {
-        for exp in EXPERIMENTS {
-            let path = tdir.join(format!("{exp}_summary.json"));
-            let Ok(raw) = std::fs::read_to_string(&path) else {
-                continue; // experiment failed or predates telemetry
-            };
-            let value = serde_json::parse(&raw)
-                .map_err(|e| format!("{}: malformed summary: {e}", path.display()))?;
-            let summary = TelemetrySummary::from_value(&value)
-                .map_err(|e| format!("{}: unexpected shape: {e}", path.display()))?;
-            combined.merge(&summary);
-            entries.push(value);
-        }
+    let (summaries, stores) = match dir {
+        Some(dir) => (
+            read_artifacts::<TelemetrySummary>(dir, "summary")?,
+            read_artifacts::<crp_telemetry::timeseries::TimeSeriesExport>(dir, "timeseries")?,
+        ),
+        None => (Vec::new(), Vec::new()),
+    };
+    let mut entries: Vec<Value> = Vec::new();
+    for (_, value, summary) in &summaries {
+        combined.merge(summary);
+        entries.push(value.clone());
     }
-    let count = entries.len();
     let mut ts_health: Vec<Value> = Vec::new();
     let mut late_total = 0u64;
     let mut series_dropped_total = 0u64;
-    if let Some(ldir) = live_dir {
-        for exp in EXPERIMENTS {
-            let path = ldir.join(format!("{exp}_timeseries.json"));
-            let Ok(raw) = std::fs::read_to_string(&path) else {
-                continue; // experiment failed or ran without --live
-            };
-            let value = serde_json::parse(&raw)
-                .map_err(|e| format!("{}: malformed timeseries export: {e}", path.display()))?;
-            let export = crp_telemetry::timeseries::TimeSeriesExport::from_value(&value)
-                .map_err(|e| format!("{}: unexpected shape: {e}", path.display()))?;
-            late_total += export.late_dropped;
-            series_dropped_total += export.series_dropped;
-            ts_health.push(Value::Object(vec![
-                ("experiment".to_owned(), Value::String((*exp).to_owned())),
-                ("late_dropped".to_owned(), Value::UInt(export.late_dropped)),
-                (
-                    "series_dropped".to_owned(),
-                    Value::UInt(export.series_dropped),
-                ),
-            ]));
-        }
-        if late_total > 0 || series_dropped_total > 0 {
-            eprintln!(
-                "[run_all] timeseries health: {late_total} late point(s) dropped, \
-                 {series_dropped_total} series rejected at capacity"
-            );
-        }
+    for (exp, _, export) in &stores {
+        late_total += export.late_dropped;
+        series_dropped_total += export.series_dropped;
+        ts_health.push(Value::Object(vec![
+            ("experiment".to_owned(), Value::String((*exp).to_owned())),
+            ("late_dropped".to_owned(), Value::UInt(export.late_dropped)),
+            (
+                "series_dropped".to_owned(),
+                Value::UInt(export.series_dropped),
+            ),
+        ]));
+    }
+    if late_total > 0 || series_dropped_total > 0 {
+        eprintln!(
+            "[run_all] timeseries health: {late_total} late point(s) dropped, \
+             {series_dropped_total} series rejected at capacity"
+        );
     }
     let wall_clock: Vec<Value> = runs
         .iter()
@@ -392,10 +375,6 @@ fn aggregate_summaries(
             ),
         ),
     ]);
-    let json = serde_json::to_string(&document).map_err(|e| e.to_string())?;
-    std::fs::create_dir_all(out_dir).map_err(|e| e.to_string())?;
-    let out_path = Path::new(out_dir).join("telemetry_summary.json");
-    std::fs::write(&out_path, json + "\n").map_err(|e| e.to_string())?;
-    eprintln!("[run_all] wrote {}", out_path.display());
-    Ok(count)
+    write_joined(out_dir, "telemetry_summary.json", &document)?;
+    Ok(summaries.len())
 }

@@ -20,27 +20,16 @@ pub struct EvalArgs {
     pub scale: Option<f64>,
     /// Output directory for CSV series (default `results`).
     pub out_dir: String,
-    /// Telemetry output directory; `None` leaves telemetry disabled.
-    pub telemetry: Option<String>,
+    /// Observe directory: arms every SimTime-side observer (metrics
+    /// and record stream, decision provenance and drift scans, time
+    /// series, causal traces and alerts, allocation attribution) and
+    /// writes each artifact there as `<dir>/<experiment>[_<kind>].json`
+    /// (see [`crate::telemetry`]). `None` leaves them all disarmed.
+    pub observe: Option<String>,
     /// Wall-clock profile output directory; `None` leaves profiling
-    /// disabled.
+    /// disabled. Kept apart from `observe` so the profile never times
+    /// the other observers.
     pub profile: Option<String>,
-    /// Audit output directory: enables decision provenance and drift
-    /// scanning, writing `<dir>/<experiment>_provenance.json` and
-    /// `<dir>/<experiment>_drift.json`. `None` leaves auditing disabled.
-    pub audit: Option<String>,
-    /// Live-observability output directory: enables the SimTime
-    /// time-series store, causal tracing, and the SLO alert engine,
-    /// writing `<dir>/<experiment>_timeseries.json`,
-    /// `<dir>/<experiment>_traces.json`, and
-    /// `<dir>/<experiment>_alerts.json`. `None` leaves all three off.
-    pub live: Option<String>,
-    /// Memory-attribution output directory: arms the
-    /// [`crp_telemetry::mem`] allocation-attribution layer for the run
-    /// and writes the final per-domain snapshot to
-    /// `<dir>/<experiment>_mem.json`. `None` leaves attribution
-    /// disarmed (its near-zero disabled path).
-    pub mem: Option<String>,
 }
 
 impl Default for EvalArgs {
@@ -52,11 +41,8 @@ impl Default for EvalArgs {
             hours: None,
             scale: None,
             out_dir: "results".to_owned(),
-            telemetry: None,
+            observe: None,
             profile: None,
-            audit: None,
-            live: None,
-            mem: None,
         }
     }
 }
@@ -69,8 +55,7 @@ impl EvalArgs {
             eprintln!("{message}");
             eprintln!(
                 "usage: [--seed N] [--clients N] [--candidates N] [--hours N] \
-                 [--scale X] [--out DIR] [--telemetry DIR] [--profile DIR] [--audit DIR] \
-                 [--live DIR] [--mem DIR]"
+                 [--scale X] [--out DIR] [--observe DIR] [--profile DIR]"
             );
             std::process::exit(2)
         })
@@ -122,11 +107,8 @@ impl EvalArgs {
                 "hours" => out.hours = Some(number(&v, "hours takes an integer")?),
                 "scale" => out.scale = Some(number(&v, "scale takes a float")?),
                 "out" => out.out_dir = v,
-                "telemetry" => out.telemetry = Some(v),
+                "observe" => out.observe = Some(v),
                 "profile" => out.profile = Some(v),
-                "audit" => out.audit = Some(v),
-                "live" => out.live = Some(v),
-                "mem" => out.mem = Some(v),
                 other => return Err(format!("unknown flag --{other}")),
             }
         }
@@ -153,7 +135,7 @@ mod tests {
     fn parses_all_flags() {
         let a = parse(
             "--seed 7 --clients 100 --candidates 30 --hours 12 --scale 0.5 --out /tmp/r \
-             --telemetry /tmp/t --profile /tmp/p --audit /tmp/a --live /tmp/l --mem /tmp/m",
+             --observe /tmp/o --profile /tmp/p",
         );
         assert_eq!(a.seed, 7);
         assert_eq!(a.clients, Some(100));
@@ -161,27 +143,30 @@ mod tests {
         assert_eq!(a.hours, Some(12));
         assert_eq!(a.scale, Some(0.5));
         assert_eq!(a.out_dir, "/tmp/r");
-        assert_eq!(a.telemetry.as_deref(), Some("/tmp/t"));
+        assert_eq!(a.observe.as_deref(), Some("/tmp/o"));
         assert_eq!(a.profile.as_deref(), Some("/tmp/p"));
-        assert_eq!(a.audit.as_deref(), Some("/tmp/a"));
-        assert_eq!(a.live.as_deref(), Some("/tmp/l"));
-        assert_eq!(a.mem.as_deref(), Some("/tmp/m"));
     }
 
     #[test]
-    fn telemetry_profile_audit_and_live_default_off() {
+    fn observe_and_profile_default_off() {
         let a = parse("--seed 3");
-        assert_eq!(a.telemetry, None);
+        assert_eq!(a.observe, None);
         assert_eq!(a.profile, None);
-        assert_eq!(a.audit, None);
-        assert_eq!(a.live, None);
-        assert_eq!(a.mem, None);
     }
 
     #[test]
     #[should_panic(expected = "unknown flag")]
     fn rejects_unknown_flag() {
         let _ = parse("--bogus 1");
+    }
+
+    #[test]
+    fn retired_observer_flags_are_unknown() {
+        for flag in ["telemetry", "audit", "live", "mem"] {
+            let err = EvalArgs::try_from_args([format!("--{flag}"), "/tmp/x".to_owned()])
+                .expect_err("retired flag must be rejected");
+            assert_eq!(err, format!("unknown flag --{flag}"));
+        }
     }
 
     #[test]

@@ -123,8 +123,7 @@ pub struct ClosestRun {
 
 /// Runs the full closest-node experiment.
 pub fn run_closest(cfg: &ClosestConfig) -> ClosestRun {
-    crp_telemetry::profile_scope!("eval.run_closest");
-    crp_telemetry::mem_domain!("eval.closest");
+    crp_telemetry::stage!(EVAL_RUN_CLOSEST);
     let scenario = Scenario::build(ScenarioConfig {
         seed: cfg.seed,
         candidate_servers: cfg.candidates,

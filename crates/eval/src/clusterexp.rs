@@ -98,8 +98,7 @@ impl ClusterExpData {
 
 /// Runs the clustering experiment.
 pub fn run_clustering(cfg: &ClusterExpConfig) -> ClusterExpData {
-    crp_telemetry::profile_scope!("eval.run_clustering");
-    crp_telemetry::mem_domain!("eval.cluster");
+    crp_telemetry::stage!(EVAL_RUN_CLUSTERING);
     let scenario = Scenario::build(ScenarioConfig {
         seed: cfg.seed,
         candidate_servers: 0,

@@ -18,9 +18,10 @@
 
 /// Every binary linking this crate (the experiment bins, `run_all`, and
 /// `crp-bench`'s `bench_all`) gets the counting global allocator, so
-/// `--mem` attribution and per-iteration allocation pressure report
-/// real numbers. Disarmed cost is two relaxed counter bumps per
-/// allocation; the armed tax only applies while `--mem` is in effect.
+/// `--observe` attribution and per-iteration allocation pressure
+/// report real numbers. Disarmed cost is two relaxed counter bumps per
+/// allocation; the armed tax only applies while `--observe` is in
+/// effect.
 #[global_allocator]
 static ALLOC: crp_telemetry::profile::CountingAllocator = crp_telemetry::profile::CountingAllocator;
 

@@ -1,93 +1,69 @@
-//! Telemetry wiring shared by the experiment binaries.
+//! Observer wiring shared by the experiment binaries.
 //!
 //! Each binary calls [`session`] right after parsing its flags. With
-//! `--telemetry <dir>` this installs a [`crp_telemetry::JsonlSink`]
-//! writing `<dir>/<experiment>.jsonl`; when the returned
-//! [`TelemetrySession`] drops at the end of `main`, the aggregated
-//! [`TelemetrySummary`] lands in `<dir>/<experiment>_summary.json`.
-//! Without the flag nothing is installed and every instrumentation hook
-//! across the workspace stays on its near-zero disabled path.
+//! `--observe <dir>` the session arms every SimTime-side observer layer
+//! (see [`crp_telemetry::stage`]) for the whole run, and when the
+//! returned [`TelemetrySession`] drops at the end of `main` it writes
+//! each layer's artifact into that one directory:
 //!
-//! The session also owns the **wall-clock** side: with `--profile <dir>`
-//! it starts the [`crp_telemetry::profile`] profiler and, on drop,
-//! writes the aggregated scope tree to `<dir>/<experiment>_profile.json`.
-//! The two outputs never mix — the profile is wall-clock data and is
-//! deliberately excluded from any determinism comparison.
+//! - `<experiment>.jsonl` and `<experiment>_summary.json`: the record
+//!   stream and the aggregated
+//!   [`TelemetrySummary`](crp_telemetry::TelemetrySummary);
+//! - `<experiment>_provenance.json`: the [`crp_core::explain`] decision
+//!   provenance log;
+//! - `<experiment>_timeseries.json`, `<experiment>_alerts.json` and
+//!   `<experiment>_traces.json`: the SimTime
+//!   [time-series store](crp_telemetry::timeseries), the
+//!   [SLO alert engine](crp_telemetry::alert) replayed over it, and the
+//!   sampled [causal traces](crp_telemetry::trace);
+//! - `<experiment>_mem.json`: the per-stage
+//!   [allocation attribution](crp_telemetry::mem) snapshot.
 //!
-//! With `--audit <dir>` the session additionally enables the
-//! [`crp_core::explain`] decision-provenance recorder; on drop the
-//! drained [`ExplainLog`] lands in `<dir>/<experiment>_provenance.json`.
-//! Like telemetry and profiling, provenance is a pure observer: enabling
-//! it never changes experiment outputs (`tests/telemetry_determinism.rs`
-//! proves this byte-for-byte).
+//! Auditing binaries add their drift timelines and detection reports to
+//! the same directory through [`TelemetrySession::observe_dir`]. Every
+//! layer is a pure observer keyed on simulated time or wall-clock-side
+//! allocator traffic, so arming them never changes experiment outputs
+//! (`tests/telemetry_determinism.rs` proves it byte for byte).
 //!
-//! With `--live <dir>` the session turns on the live-observability
-//! layer: the SimTime [time-series store](crp_telemetry::timeseries),
-//! [causal tracing](crp_telemetry::trace), and — at shutdown — the
-//! [SLO alert engine](crp_telemetry::alert) replayed over the collected
-//! windows. On drop it writes `<dir>/<experiment>_timeseries.json`,
-//! `<dir>/<experiment>_traces.json`, and
-//! `<dir>/<experiment>_alerts.json`. All three are keyed on simulated
-//! time, so the same seeded run reproduces them byte-for-byte.
-//!
-//! With `--mem <dir>` the session arms the
-//! [`crp_telemetry::mem`] allocation-attribution layer for the whole
-//! run; on drop the final per-domain snapshot (live/peak/total bytes,
-//! allocation counts, size-class histograms) lands in
-//! `<dir>/<experiment>_mem.json`. Attribution counts wall-clock-side
-//! allocator traffic and never touches SimTime, so arming it cannot
-//! change experiment outputs (`tests/telemetry_determinism.rs` phase 12
-//! proves this).
+//! `--profile <dir>` starts the wall-clock profiler
+//! ([`crp_telemetry::profile`]) and writes
+//! `<dir>/<experiment>_profile.json`. It stays a flag of its
+//! own so the profile never times the other observers; the profile is
+//! wall-clock data and is excluded from any determinism comparison.
+//! Without either flag nothing is armed and every instrumentation hook
+//! across the workspace stays on its one-branch disabled path.
 
 use crate::EvalArgs;
-use crp_core::explain::ExplainLog;
-use crp_telemetry::profile::ProfileNode;
+use crp_telemetry::JsonlSink;
 use crp_telemetry::{alert, timeseries, trace};
-use crp_telemetry::{JsonlSink, TelemetrySummary};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Keeps a per-run telemetry collector (and optional profiler) alive;
-/// see [`session`].
+/// Keeps the armed observers alive for one run; see [`session`].
 ///
-/// Dropping the session finalizes the run: it tears down the global
-/// collector and writes the summary JSON next to the JSONL stream, then
-/// tears down the profiler (if started) and writes the profile tree.
+/// Dropping the session finalizes the run: it tears down every armed
+/// layer and writes its artifact.
 #[must_use = "bind to a variable that lives until the end of main"]
 pub struct TelemetrySession {
-    dir: Option<PathBuf>,
+    observe_dir: Option<PathBuf>,
     profile_dir: Option<PathBuf>,
-    audit_dir: Option<PathBuf>,
-    live_dir: Option<PathBuf>,
-    mem_dir: Option<PathBuf>,
     experiment: &'static str,
 }
 
 impl TelemetrySession {
-    /// The audit output directory, when `--audit` was given.
-    pub fn audit_dir(&self) -> Option<&Path> {
-        self.audit_dir.as_deref()
-    }
-
-    /// The live-observability output directory, when `--live` was given.
-    pub fn live_dir(&self) -> Option<&Path> {
-        self.live_dir.as_deref()
-    }
-
-    /// The memory-attribution output directory, when `--mem` was given.
-    pub fn mem_dir(&self) -> Option<&Path> {
-        self.mem_dir.as_deref()
+    /// The observe directory, when `--observe` was given.
+    pub fn observe_dir(&self) -> Option<&Path> {
+        self.observe_dir.as_deref()
     }
 }
 
-/// Starts telemetry (and, with `--profile`, wall-clock profiling) for
-/// `experiment` according to `args`.
+/// Arms the observers `args` asks for, for `experiment`.
 ///
 /// A sink failure (unwritable directory) degrades to metrics-only
 /// collection with a warning rather than aborting the experiment.
 pub fn session(args: &EvalArgs, experiment: &'static str) -> TelemetrySession {
-    let dir = args.telemetry.as_ref().map(PathBuf::from);
-    if let Some(dir) = &dir {
+    let observe_dir = args.observe.as_ref().map(PathBuf::from);
+    if let Some(dir) = &observe_dir {
         let path = dir.join(format!("{experiment}.jsonl"));
         match JsonlSink::create(&path) {
             Ok(sink) => crp_telemetry::install(Box::new(sink)),
@@ -99,164 +75,76 @@ pub fn session(args: &EvalArgs, experiment: &'static str) -> TelemetrySession {
                 crp_telemetry::install_metrics_only();
             }
         }
+        crp_core::explain::start();
+        timeseries::start(timeseries::TimeSeriesConfig::default());
+        trace::start(trace::TraceConfig::default());
+        crp_telemetry::mem::start();
     }
     let profile_dir = args.profile.as_ref().map(PathBuf::from);
     if profile_dir.is_some() {
         crp_telemetry::profile::start();
     }
-    let audit_dir = args.audit.as_ref().map(PathBuf::from);
-    if audit_dir.is_some() {
-        crp_core::explain::start();
-    }
-    let live_dir = args.live.as_ref().map(PathBuf::from);
-    if live_dir.is_some() {
-        timeseries::start(timeseries::TimeSeriesConfig::default());
-        trace::start(trace::TraceConfig::default());
-    }
-    let mem_dir = args.mem.as_ref().map(PathBuf::from);
-    if mem_dir.is_some() {
-        crp_telemetry::mem::start();
-    }
     TelemetrySession {
-        dir,
+        observe_dir,
         profile_dir,
-        audit_dir,
-        live_dir,
-        mem_dir,
         experiment,
     }
 }
 
-/// Writes `summary` as JSON to `<dir>/<experiment>_summary.json`.
-///
-/// # Errors
-///
-/// Returns any serialization or file-system error.
-pub fn write_summary(dir: &Path, summary: &TelemetrySummary) -> std::io::Result<PathBuf> {
-    let json = serde_json::to_string(summary)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{}_summary.json", summary.experiment));
-    fs::write(&path, json + "\n")?;
-    Ok(path)
-}
-
-/// Writes `log` as JSON to `<dir>/<experiment>_provenance.json`.
-///
-/// # Errors
-///
-/// Returns any serialization or file-system error.
-pub fn write_provenance(
-    dir: &Path,
-    experiment: &str,
-    log: &ExplainLog,
-) -> std::io::Result<PathBuf> {
-    let json = serde_json::to_string(log)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{experiment}_provenance.json"));
-    fs::write(&path, json + "\n")?;
-    Ok(path)
-}
-
-/// Writes one live-observability artifact (`timeseries`, `traces`, or
-/// `alerts`) to `<dir>/<experiment>_<what>.json`.
-///
-/// # Errors
-///
-/// Returns any serialization or file-system error.
-pub fn write_live<T: serde::Serialize>(
-    dir: &Path,
-    experiment: &str,
-    what: &str,
-    value: &T,
-) -> std::io::Result<PathBuf> {
-    let json = serde_json::to_string(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{experiment}_{what}.json"));
-    fs::write(&path, json + "\n")?;
-    Ok(path)
-}
-
-/// Writes `tree` as JSON to `<dir>/<experiment>_profile.json`.
-///
-/// # Errors
-///
-/// Returns any serialization or file-system error.
-pub fn write_profile(dir: &Path, experiment: &str, tree: &ProfileNode) -> std::io::Result<PathBuf> {
-    let json = serde_json::to_string(tree)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{experiment}_profile.json"));
-    fs::write(&path, json + "\n")?;
-    Ok(path)
+/// Writes `value` as JSON to `<dir>/<experiment>_<kind>.json` and
+/// prints the path. Failures degrade to a warning: an observer artifact
+/// must never abort an experiment.
+pub fn write_artifact<T: serde::Serialize>(dir: &Path, experiment: &str, kind: &str, value: &T) {
+    let path = dir.join(format!("{experiment}_{kind}.json"));
+    let write = || -> std::io::Result<()> {
+        let json = serde_json::to_string(value)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        fs::create_dir_all(dir)?;
+        fs::write(&path, json + "\n")
+    };
+    match write() {
+        Ok(()) => println!("  [wrote {}]", path.display()),
+        Err(err) => eprintln!("[telemetry] cannot write {}: {err}", path.display()),
+    }
 }
 
 impl Drop for TelemetrySession {
     fn drop(&mut self) {
-        if let Some(summary) = crp_telemetry::shutdown(self.experiment) {
-            if let Some(dir) = &self.dir {
-                match write_summary(dir, &summary) {
-                    Ok(path) => println!("  [wrote {}]", path.display()),
-                    Err(err) => eprintln!("[telemetry] cannot write summary: {err}"),
-                }
-            }
-        }
-        if let Some(tree) = crp_telemetry::profile::finish() {
-            if let Some(dir) = &self.profile_dir {
-                match write_profile(dir, self.experiment, &tree) {
-                    Ok(path) => println!("  [wrote {}]", path.display()),
-                    Err(err) => eprintln!("[telemetry] cannot write profile: {err}"),
-                }
-            }
-        }
-        if let Some(log) = crp_core::explain::finish() {
-            if let Some(dir) = &self.audit_dir {
-                match write_provenance(dir, self.experiment, &log) {
-                    Ok(path) => println!("  [wrote {}]", path.display()),
-                    Err(err) => eprintln!("[telemetry] cannot write provenance: {err}"),
-                }
-            }
-        }
-        // Live observability last: the alert engine replays the
-        // completed time-series windows, so it needs the store after
-        // every instrumented call site has gone quiet.
+        // Memory attribution first, so the snapshot covers the run and
+        // not the other layers' flush traffic.
+        let mem = crp_telemetry::mem::finish();
+        let summary = crp_telemetry::shutdown(self.experiment);
+        let provenance = crp_core::explain::finish();
         let store = timeseries::finish();
         let traces = trace::finish();
-        if let Some(dir) = &self.live_dir {
-            if let Some(store) = &store {
-                let export = store.export();
-                match write_live(dir, self.experiment, "timeseries", &export) {
-                    Ok(path) => println!("  [wrote {}]", path.display()),
-                    Err(err) => eprintln!("[telemetry] cannot write timeseries: {err}"),
-                }
-                let alerts = alert::AlertEngine::new(alert::default_rules()).evaluate(store);
-                for name in alerts.firing() {
-                    eprintln!("[live] ALERT firing at end of run: {name}");
-                }
-                match write_live(dir, self.experiment, "alerts", &alerts) {
-                    Ok(path) => println!("  [wrote {}]", path.display()),
-                    Err(err) => eprintln!("[telemetry] cannot write alerts: {err}"),
-                }
-            }
-            if let Some(traces) = &traces {
-                match write_live(dir, self.experiment, "traces", traces) {
-                    Ok(path) => println!("  [wrote {}]", path.display()),
-                    Err(err) => eprintln!("[telemetry] cannot write traces: {err}"),
-                }
-            }
+        if let (Some(dir), Some(tree)) = (&self.profile_dir, crp_telemetry::profile::finish()) {
+            write_artifact(dir, self.experiment, "profile", &tree);
         }
-        // Memory attribution very last: everything the other layers
-        // allocate while flushing still lands in the snapshot (charged
-        // to "(unattributed)" — shutdown traffic, not experiment work).
-        if let Some(snap) = crp_telemetry::mem::finish() {
-            if let Some(dir) = &self.mem_dir {
-                match write_live(dir, self.experiment, "mem", &snap) {
-                    Ok(path) => println!("  [wrote {}]", path.display()),
-                    Err(err) => eprintln!("[telemetry] cannot write mem snapshot: {err}"),
-                }
+        let Some(dir) = &self.observe_dir else {
+            return;
+        };
+        let exp = self.experiment;
+        if let Some(summary) = &summary {
+            write_artifact(dir, exp, "summary", summary);
+        }
+        if let Some(log) = &provenance {
+            write_artifact(dir, exp, "provenance", log);
+        }
+        if let Some(store) = &store {
+            write_artifact(dir, exp, "timeseries", &store.export());
+            // The alert engine replays the completed windows, so it runs
+            // after every instrumented call site has gone quiet.
+            let alerts = alert::AlertEngine::new(alert::default_rules()).evaluate(store);
+            for name in alerts.firing() {
+                eprintln!("[live] ALERT firing at end of run: {name}");
             }
+            write_artifact(dir, exp, "alerts", &alerts);
+        }
+        if let Some(traces) = &traces {
+            write_artifact(dir, exp, "traces", traces);
+        }
+        if let Some(mem) = &mem {
+            write_artifact(dir, exp, "mem", mem);
         }
     }
 }
@@ -264,75 +152,46 @@ impl Drop for TelemetrySession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crp_core::explain::ExplainLog;
+    use crp_telemetry::profile::ProfileNode;
+    use crp_telemetry::{stage, TelemetrySummary};
+    use serde::Deserialize;
 
-    fn args_with(dir: Option<&Path>) -> EvalArgs {
-        EvalArgs {
-            telemetry: dir.map(|d| d.to_string_lossy().into_owned()),
-            ..EvalArgs::default()
-        }
+    fn read<T: Deserialize>(path: &Path) -> T {
+        let raw = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let value = serde_json::parse(&raw).expect("valid json");
+        T::from_value(&value).expect("shape")
     }
 
-    // One test drives both the disabled and enabled paths: the session
-    // manipulates the process-global collector, so parallel test threads
-    // must not share it.
+    // One test drives every path: the session arms process-global
+    // layers, so parallel test threads must not share them. The stages
+    // entered here are ones no other test in this crate enters.
     #[test]
     fn session_lifecycle() {
-        let s = session(&args_with(None), "t_disabled");
-        assert!(!crp_telemetry::enabled());
+        let s = session(&EvalArgs::default(), "t_disabled");
+        assert_eq!(stage::mask(), 0, "no flag arms nothing");
         drop(s);
         assert!(crp_telemetry::shutdown("t_disabled").is_none());
 
-        let dir = std::env::temp_dir().join("crp-eval-telemetry-test");
+        // --observe arms every SimTime-side layer and writes every
+        // artifact into the one directory.
+        let dir = std::env::temp_dir().join("crp-eval-observe-test");
         let _ = fs::remove_dir_all(&dir);
-        let s = session(&args_with(Some(&dir)), "t_session");
+        let args = EvalArgs {
+            observe: Some(dir.to_string_lossy().into_owned()),
+            ..EvalArgs::default()
+        };
+        let s = session(&args, "t_obs");
+        let layers =
+            stage::METRICS | stage::EXPLAIN | stage::TIMESERIES | stage::TRACE | stage::MEM;
+        assert_eq!(stage::mask(), layers, "--observe arms all but the profiler");
+        assert_eq!(s.observe_dir(), Some(dir.as_path()));
         crp_telemetry::counter_add("test.calls", 3);
         crp_telemetry::event(5, "test.tick", &[]);
-        drop(s);
-        assert!(dir.join("t_session.jsonl").exists());
-        let raw = fs::read_to_string(dir.join("t_session_summary.json")).expect("summary written");
-        let value = serde_json::parse(&raw).expect("valid json");
-        let summary = <TelemetrySummary as serde::Deserialize>::from_value(&value).expect("shape");
-        assert_eq!(summary.experiment, "t_session");
-        assert_eq!(summary.counter("test.calls"), Some(3));
-        let _ = fs::remove_dir_all(&dir);
-
-        // Profiling path: --profile starts the profiler and the drop
-        // writes the scope tree (the collector global stays untouched).
-        let pdir = std::env::temp_dir().join("crp-eval-profile-test");
-        let _ = fs::remove_dir_all(&pdir);
-        let args = EvalArgs {
-            profile: Some(pdir.to_string_lossy().into_owned()),
-            ..EvalArgs::default()
-        };
-        let s = session(&args, "t_profile");
-        assert!(crp_telemetry::profile::profiling());
-        assert!(
-            !crp_telemetry::enabled(),
-            "profiling must not enable telemetry"
-        );
         {
-            crp_telemetry::profile_scope!("phase");
+            crp_telemetry::stage!(AUDIT_DRIFT_SCAN);
+            let _buf: Vec<u8> = Vec::with_capacity(64);
         }
-        drop(s);
-        assert!(!crp_telemetry::profile::profiling());
-        let raw = fs::read_to_string(pdir.join("t_profile_profile.json")).expect("profile written");
-        let value = serde_json::parse(&raw).expect("valid json");
-        let tree = <ProfileNode as serde::Deserialize>::from_value(&value).expect("shape");
-        assert_eq!(tree.name, "root");
-        assert!(tree.child("phase").is_some(), "tree: {tree:?}");
-        let _ = fs::remove_dir_all(&pdir);
-
-        // Audit path: --audit enables the explain recorder and the drop
-        // writes the drained provenance log.
-        let adir = std::env::temp_dir().join("crp-eval-audit-test");
-        let _ = fs::remove_dir_all(&adir);
-        let args = EvalArgs {
-            audit: Some(adir.to_string_lossy().into_owned()),
-            ..EvalArgs::default()
-        };
-        let s = session(&args, "t_audit");
-        assert!(crp_core::explain::enabled());
-        assert_eq!(s.audit_dir(), Some(adir.as_path()));
         crp_core::explain::record_inversion(crp_core::explain::InversionRecord {
             client: "c0".to_owned(),
             selected: "r1".to_owned(),
@@ -342,79 +201,59 @@ mod tests {
             explained: true,
             reason: "weak signal".to_owned(),
         });
-        drop(s);
-        assert!(!crp_core::explain::enabled());
-        let raw =
-            fs::read_to_string(adir.join("t_audit_provenance.json")).expect("provenance written");
-        let value = serde_json::parse(&raw).expect("valid json");
-        let log = <ExplainLog as serde::Deserialize>::from_value(&value).expect("shape");
-        assert_eq!(log.inversions.len(), 1);
-        assert_eq!(log.inversions[0].client, "c0");
-        let _ = fs::remove_dir_all(&adir);
-
-        // Live path: --live starts the time-series store and tracing;
-        // the drop replays the alert rules and writes all three
-        // artifacts.
-        let ldir = std::env::temp_dir().join("crp-eval-live-test");
-        let _ = fs::remove_dir_all(&ldir);
-        let args = EvalArgs {
-            live: Some(ldir.to_string_lossy().into_owned()),
-            ..EvalArgs::default()
-        };
-        let s = session(&args, "t_live");
-        assert!(timeseries::enabled());
-        assert!(trace::enabled());
-        assert_eq!(s.live_dir(), Some(ldir.as_path()));
-        let id = trace::mint(&[7]);
-        trace::begin(id, 0, "cdn.redirect");
+        trace::begin(trace::mint(&[7]), 0, stage::CDN_AUTHORITATIVE_ANSWER.name);
         crp_telemetry::observe_at(0, "cdn.best_candidate_ms", 12.5);
         drop(s);
-        assert!(!timeseries::enabled());
-        assert!(!trace::enabled());
-        for what in ["timeseries", "traces", "alerts"] {
-            let path = ldir.join(format!("t_live_{what}.json"));
+        assert_eq!(stage::mask(), 0, "the drop disarms every layer");
+        assert!(dir.join("t_obs.jsonl").exists());
+        for kind in ["timeseries", "traces"] {
+            let path = dir.join(format!("t_obs_{kind}.json"));
             assert!(path.exists(), "missing {}", path.display());
         }
-        let raw = fs::read_to_string(ldir.join("t_live_alerts.json")).expect("alerts written");
-        let value = serde_json::parse(&raw).expect("valid json");
-        let alerts = <alert::AlertLog as serde::Deserialize>::from_value(&value).expect("shape");
+        let summary: TelemetrySummary = read(&dir.join("t_obs_summary.json"));
+        assert_eq!(summary.experiment, "t_obs");
+        assert_eq!(summary.counter("test.calls"), Some(3));
+        assert_eq!(summary.counter(stage::AUDIT_DRIFT_SCAN.calls), Some(1));
+        let log: ExplainLog = read(&dir.join("t_obs_provenance.json"));
+        assert_eq!(log.inversions.len(), 1);
+        assert_eq!(log.inversions[0].client, "c0");
+        let alerts: alert::AlertLog = read(&dir.join("t_obs_alerts.json"));
         assert!(alerts.rule("ingest-latency-p99").is_some());
         assert!(alerts.firing().is_empty(), "one cheap sample cannot fire");
-        let _ = fs::remove_dir_all(&ldir);
+        // This crate installs the counting allocator, so the snapshot
+        // carries real counts.
+        let snap: crp_telemetry::MemSnapshot = read(&dir.join("t_obs_mem.json"));
+        let domain = snap
+            .domain(stage::AUDIT_DRIFT_SCAN.name)
+            .expect("stage domain in the snapshot");
+        assert!(domain.allocs > 0, "{snap:?}");
+        let _ = fs::remove_dir_all(&dir);
 
-        // Mem path: --mem arms allocation attribution and the drop
-        // writes the per-domain snapshot. This crate installs the
-        // counting allocator, so the snapshot carries real counts.
-        let mdir = std::env::temp_dir().join("crp-eval-mem-test");
-        let _ = fs::remove_dir_all(&mdir);
+        // --profile starts only the profiler; the drop writes the tree.
+        let pdir = std::env::temp_dir().join("crp-eval-profile-test");
+        let _ = fs::remove_dir_all(&pdir);
         let args = EvalArgs {
-            mem: Some(mdir.to_string_lossy().into_owned()),
+            profile: Some(pdir.to_string_lossy().into_owned()),
             ..EvalArgs::default()
         };
-        let s = session(&args, "t_mem");
-        assert!(crp_telemetry::mem::enabled());
-        assert!(
-            !crp_telemetry::enabled(),
-            "mem attribution must not enable telemetry"
-        );
-        assert_eq!(s.mem_dir(), Some(mdir.as_path()));
+        let s = session(&args, "t_profile");
+        assert_eq!(stage::mask(), stage::PROFILE);
+        assert_eq!(s.observe_dir(), None);
         {
-            crp_telemetry::mem_domain!("eval.test_session");
+            crp_telemetry::stage!(AUDIT_DETECT_SCAN);
         }
         drop(s);
-        assert!(!crp_telemetry::mem::enabled());
-        let raw = fs::read_to_string(mdir.join("t_mem_mem.json")).expect("mem snapshot written");
-        let value = serde_json::parse(&raw).expect("valid json");
-        let snap =
-            <crp_telemetry::MemSnapshot as serde::Deserialize>::from_value(&value).expect("shape");
+        assert!(!crp_telemetry::profile::profiling());
+        let tree: ProfileNode = read(&pdir.join("t_profile_profile.json"));
+        assert_eq!(tree.name, "root");
+        // Other test threads' stages may enclose it in the shared tree.
+        fn reaches(node: &ProfileNode, name: &str) -> bool {
+            node.name == name || node.children.iter().any(|c| reaches(c, name))
+        }
         assert!(
-            snap.domain("eval.test_session").is_some(),
-            "registered domain missing from snapshot: {snap:?}"
+            reaches(&tree, stage::AUDIT_DETECT_SCAN.name),
+            "tree: {tree:?}"
         );
-        assert!(
-            snap.total_allocs() > 0,
-            "counting allocator saw no traffic while armed"
-        );
-        let _ = fs::remove_dir_all(&mdir);
+        let _ = fs::remove_dir_all(&pdir);
     }
 }

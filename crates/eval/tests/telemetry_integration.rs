@@ -1,10 +1,10 @@
-//! End-to-end check of `--telemetry`: runs `fig9_window_size` at a tiny
+//! End-to-end check of `--observe`: runs `fig9_window_size` at a tiny
 //! scale and cross-checks the JSONL stream against the summary — every
 //! `event.<name>` counter must equal the stream's event count for that
 //! name, and the summary's tracker counter must equal the total
 //! independently recomputed from the per-host event fields.
 
-use crp_telemetry::TelemetrySummary;
+use crp_telemetry::{stage, TelemetrySummary};
 use serde::Deserialize as _;
 use serde::Value;
 use std::collections::BTreeMap;
@@ -38,7 +38,7 @@ fn fig9_telemetry_stream_matches_summary() {
         .args(["--candidates", &candidates.to_string()])
         .arg("--out")
         .arg(&out_dir)
-        .arg("--telemetry")
+        .arg("--observe")
         .arg(&dir)
         .status()
         .expect("run fig9_window_size");
@@ -92,20 +92,24 @@ fn fig9_telemetry_stream_matches_summary() {
     // `observations` field counts its tracker records.
     assert_eq!(hosts_observed, (clients + candidates) as u64);
     assert_eq!(
-        summary.counter("core.tracker.observations"),
+        summary.counter(stage::CORE_TRACKER.calls),
         Some(observations_from_events),
         "tracker counter disagrees with the per-host event fields"
     );
 
     // The instrumented subsystems all reported in.
-    for counter in ["cdn.queries", "core.ratio_map.builds", "netsim.rtt_samples"] {
+    for counter in [
+        stage::CDN_AUTHORITATIVE_ANSWER.calls,
+        stage::CORE_RATIO_MAP.calls,
+        "netsim.rtt_samples",
+    ] {
         assert!(
             summary.counter(counter).unwrap_or(0) > 0,
             "expected counter `{counter}` to be non-zero"
         );
     }
     assert!(
-        summary.histogram("core.ranking.top_score").is_some(),
+        summary.histogram("core.rank.top_score").is_some(),
         "ranking histogram missing"
     );
 

@@ -112,7 +112,7 @@ impl MeridianOverlay {
         cfg: MeridianConfig,
         faults: FaultPlan,
     ) -> MeridianOverlay {
-        crp_telemetry::profile_scope!("meridian.build");
+        crp_telemetry::stage!(MERIDIAN_BUILD);
         cfg.validate();
         assert!(!members.is_empty(), "overlay needs members");
         let joined: Vec<HostId> = {
@@ -246,7 +246,7 @@ impl MeridianOverlay {
         target: HostId,
         t: SimTime,
     ) -> QueryResult {
-        crp_telemetry::profile_scope!("meridian.closest_query");
+        crp_telemetry::stage!(MERIDIAN_CLOSEST_QUERY);
         let mut probes_before = self.probes.load(Ordering::Relaxed);
         let mut hops = 0u32;
 
@@ -427,7 +427,6 @@ impl MeridianOverlay {
 
 /// Records per-query telemetry (hop count and probe cost).
 fn note_query(result: &QueryResult) {
-    crp_telemetry::counter_add("meridian.queries", 1);
     crp_telemetry::counter_add("meridian.query_probes", result.probes);
     crp_telemetry::observe("meridian.query_hops", f64::from(result.hops));
 }

@@ -122,7 +122,7 @@ pub struct AlertRule {
     pub kind: RuleKind,
 }
 
-/// The default SLO rule set shipped with `--live`.
+/// The default SLO rule set shipped with `--observe`.
 pub fn default_rules() -> Vec<AlertRule> {
     vec![
         // Ingest latency: the redirect-time best-candidate RTT is the

@@ -21,16 +21,15 @@
 //! Instrumented crates call the free functions below ([`counter_add`],
 //! [`observe`], [`event`], [`span`], …), which fan into a process-global
 //! collector. When no collector is installed every call is a single
-//! relaxed atomic load and an early return, so the disabled cost is near
-//! zero. Library crates must never write telemetry to files themselves —
-//! the JSONL sink in this crate is the only sanctioned path (enforced by
-//! lint rule CRP006).
+//! relaxed load of the [armed mask](mod@stage) and an early return. Library
+//! crates never write telemetry to files themselves — the JSONL sink in
+//! this crate is the only sanctioned path (lint rule CRP006).
 //!
-//! A third, deliberately separate layer lives in [`profile`]: hierarchical
-//! **wall-clock** scopes for performance attribution. It shares the
-//! atomic-gate pattern but never touches the record stream or the metric
-//! registers, so the determinism contract above is unaffected (see lint
-//! rule CRP007 for where wall-clock time is allowed at all).
+//! Pipeline stages are named once, in the [`stage`](mod@stage) registry, and
+//! `stage!(CORE_RANK)` feeds that name to every armed observer,
+//! including the deliberately separate **wall-clock** [`profile`] and
+//! [`mem`] attribution layers, which never touch the record stream or
+//! the metric registers (lint rule CRP007 bounds the wall clock).
 //!
 //! # Example
 //!
@@ -58,6 +57,7 @@ pub mod metrics;
 pub mod profile;
 pub mod record;
 pub mod sink;
+pub mod stage;
 pub mod summary;
 pub mod timeseries;
 pub mod trace;
@@ -75,7 +75,6 @@ pub use timeseries::{TimeSeriesConfig, TimeSeriesExport, TimeSeriesStore};
 pub use trace::{TraceConfig, TraceId, TraceLog};
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Aggregates metrics and forwards records to a sink.
@@ -225,7 +224,6 @@ impl Collector {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static COLLECTOR: Mutex<Option<Collector>> = Mutex::new(None);
 
 fn collector_slot() -> MutexGuard<'static, Option<Collector>> {
@@ -240,7 +238,7 @@ fn collector_slot() -> MutexGuard<'static, Option<Collector>> {
 pub fn install(sink: Box<dyn Sink>) {
     let mut slot = collector_slot();
     *slot = Some(Collector::new(sink));
-    ENABLED.store(true, Ordering::Release);
+    stage::arm(stage::METRICS);
 }
 
 /// Installs a collector that aggregates metrics but discards records.
@@ -254,7 +252,7 @@ pub fn install_metrics_only() {
 /// any argument construction that allocates or formats behind this.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    stage::armed(stage::METRICS)
 }
 
 /// Tears down the global collector and returns its summary, or `None`
@@ -262,56 +260,48 @@ pub fn enabled() -> bool {
 pub fn shutdown(experiment: &str) -> Option<TelemetrySummary> {
     let collector = {
         let mut slot = collector_slot();
-        ENABLED.store(false, Ordering::Release);
+        stage::disarm(stage::METRICS);
         slot.take()
     };
     collector.map(|c| c.finish(experiment))
 }
 
-/// Adds `delta` to a global monotonic counter. No-op when disabled.
+/// Runs `f` on the global collector; one relaxed load and nothing else
+/// when none is installed.
 #[inline]
-pub fn counter_add(name: &str, delta: u64) {
+fn with_collector(f: impl FnOnce(&mut Collector)) {
     if !enabled() {
         return;
     }
     if let Some(c) = collector_slot().as_mut() {
-        c.counter_add(name, delta);
+        f(c);
     }
+}
+
+/// Adds `delta` to a global monotonic counter. No-op when disabled.
+#[inline]
+pub fn counter_add(name: &str, delta: u64) {
+    with_collector(|c| c.counter_add(name, delta));
 }
 
 /// Sets a global gauge. No-op when disabled.
 #[inline]
 pub fn gauge_set(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(c) = collector_slot().as_mut() {
-        c.gauge_set(name, value);
-    }
+    with_collector(|c| c.gauge_set(name, value));
 }
 
 /// Records into a global histogram with [`default_bounds`] (powers of
 /// two, suited to latencies and counts). No-op when disabled.
 #[inline]
 pub fn observe(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(c) = collector_slot().as_mut() {
-        c.observe_with(name, default_bounds_cached(), value);
-    }
+    with_collector(|c| c.observe_with(name, default_bounds_cached(), value));
 }
 
 /// Records into a global histogram with [`unit_bounds`] (twenty buckets
 /// over `[0, 1]`, suited to scores and strengths). No-op when disabled.
 #[inline]
 pub fn observe_unit(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(c) = collector_slot().as_mut() {
-        c.observe_with(name, unit_bounds_cached(), value);
-    }
+    with_collector(|c| c.observe_with(name, unit_bounds_cached(), value));
 }
 
 /// Like [`observe`], but keyed with the simulated time so the sample
@@ -343,12 +333,7 @@ pub fn counter_add_at(time_ms: u64, name: &str, delta: u64) {
 /// site to keep the disabled path allocation-free.
 #[inline]
 pub fn event(time_ms: u64, name: &str, fields: &[(&str, FieldValue)]) {
-    if !enabled() {
-        return;
-    }
-    if let Some(c) = collector_slot().as_mut() {
-        c.event(time_ms, name, fields);
-    }
+    with_collector(|c| c.event(time_ms, name, fields));
 }
 
 /// Opens a span at simulated time `start_ms` and returns a guard; call
@@ -357,11 +342,7 @@ pub fn event(time_ms: u64, name: &str, fields: &[(&str, FieldValue)]) {
 /// the stream).
 #[must_use = "call .end(end_ms) to close the span"]
 pub fn span(start_ms: u64, name: &'static str) -> SpanGuard {
-    if enabled() {
-        if let Some(c) = collector_slot().as_mut() {
-            c.span_start(start_ms, name);
-        }
-    }
+    with_collector(|c| c.span_start(start_ms, name));
     SpanGuard { start_ms, name }
 }
 
@@ -374,12 +355,7 @@ pub struct SpanGuard {
 impl SpanGuard {
     /// Closes the span at simulated time `end_ms`.
     pub fn end(self, end_ms: u64) {
-        if !enabled() {
-            return;
-        }
-        if let Some(c) = collector_slot().as_mut() {
-            c.span_end(end_ms, self.start_ms, self.name);
-        }
+        with_collector(|c| c.span_end(end_ms, self.start_ms, self.name));
     }
 
     /// The simulated time the span opened at.

@@ -3,30 +3,30 @@
 //!
 //! The [`CountingAllocator`](crate::profile::CountingAllocator) reports
 //! process-wide allocation pressure; this module says *who* allocated.
-//! Sanctioned call sites open a **memory domain** with [`mem_domain!`]
-//! (`mem_domain!("core.tracker")`); every allocation, deallocation, and
-//! reallocation the thread performs while the domain is innermost is
-//! charged to it — live bytes, peak live bytes, total bytes, operation
-//! counts, and a power-of-two size-class histogram. A committed
-//! `MEM_BASELINE.json` plus the `mem_check`/`mem_report` binaries turn
-//! the attribution into a ratcheted budget gate, mirroring
-//! `bench_check`.
+//! Every registered pipeline [stage](mod@crate::stage) is a **memory
+//! domain**: while `stage!(CORE_TRACKER)` is the innermost open stage,
+//! every allocation, deallocation, and reallocation the thread performs
+//! is charged to `core.tracker` — live bytes, peak live bytes, total
+//! bytes, operation counts, and a power-of-two size-class histogram. A
+//! committed `MEM_BASELINE.json` plus the `mem_check`/`mem_report`
+//! binaries turn the attribution into a ratcheted budget gate,
+//! mirroring `bench_check`.
 //!
 //! Boundary rules (the same contract as the profiler):
 //!
 //! - Attribution is **wall-clock-side observability**: nothing here
 //!   reads or writes SimTime state, the record stream, or the metric
 //!   registers, so arming it cannot perturb a seeded experiment
-//!   (`tests/telemetry_determinism.rs` phases 12–13 prove it).
+//!   (`tests/telemetry_determinism.rs` proves it).
 //! - The allocator hooks must be **allocation-free and lock-free**: the
 //!   domain registry is a fixed-size table of atomics, the per-thread
 //!   domain stack is a const-initialized `thread_local!` of `Cell`s
 //!   (no lazy init, no destructor), and every counter is a relaxed
 //!   atomic. The only lock in the module guards cold-path domain
 //!   *registration* and is never taken from an allocator hook.
-//! - `mem_domain!` is restricted to sanctioned sites by lint rule
-//!   CRP013 (like CRP008 for trace hooks), so attribution boundaries
-//!   stay deliberate instead of accreting.
+//! - Domains open only at registered stages, so attribution boundaries
+//!   are the reviewed entries of one file (`stage.rs`) instead of
+//!   accreting call sites.
 //!
 //! Live bytes are **signed**: a deallocation is charged to the domain
 //! that is innermost *when it happens*, so a domain that frees buffers
@@ -36,22 +36,23 @@
 //! # Example
 //!
 //! ```
-//! use crp_telemetry::{mem, mem_domain};
+//! use crp_telemetry::{mem, stage};
 //!
 //! mem::start();
 //! {
-//!     mem_domain!("example.work");
+//!     crp_telemetry::stage!(CORE_TRACKER);
 //!     let _v = vec![0u8; 4096];
 //! }
 //! let snapshot = mem::finish().expect("mem tracking was started");
 //! // Counts are nonzero only when the binary installs the
 //! // CountingAllocator; the domain itself is always registered.
-//! assert!(snapshot.domain("example.work").is_some());
+//! assert!(snapshot.domain(stage::CORE_TRACKER.name).is_some());
 //! ```
 
+use crate::stage;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Maximum number of distinct attribution domains (slot 0 is the
@@ -121,10 +122,6 @@ impl DomainStats {
 const STATS_INIT: DomainStats = DomainStats::new();
 static STATS: [DomainStats; MAX_DOMAINS] = [STATS_INIT; MAX_DOMAINS];
 
-/// Armed flag: one relaxed load is the entire disabled-path cost of
-/// every allocator hook and every `mem_domain!` site.
-static ARMED: AtomicBool = AtomicBool::new(false);
-
 /// Registered domain names, index `i` naming stats slot `i + 1`.
 /// Cold path only: taken at registration and snapshot time, never from
 /// an allocator hook.
@@ -171,7 +168,7 @@ fn current_slot() -> usize {
 /// Charges one allocation of `size` bytes to the innermost domain.
 #[inline]
 pub(crate) fn note_alloc(size: usize) {
-    if !ARMED.load(Ordering::Relaxed) {
+    if !enabled() {
         return;
     }
     let s = &STATS[current_slot()];
@@ -185,7 +182,7 @@ pub(crate) fn note_alloc(size: usize) {
 /// Charges one deallocation of `size` bytes to the innermost domain.
 #[inline]
 pub(crate) fn note_dealloc(size: usize) {
-    if !ARMED.load(Ordering::Relaxed) {
+    if !enabled() {
         return;
     }
     let s = &STATS[current_slot()];
@@ -198,7 +195,7 @@ pub(crate) fn note_dealloc(size: usize) {
 /// signed difference.
 #[inline]
 pub(crate) fn note_realloc(old: usize, new: usize) {
-    if !ARMED.load(Ordering::Relaxed) {
+    if !enabled() {
         return;
     }
     let s = &STATS[current_slot()];
@@ -238,22 +235,22 @@ fn register(name: &'static str) -> usize {
 }
 
 /// An open attribution domain; pops the thread's domain stack on drop.
-/// Created by [`mem_domain!`] — not meant to be constructed by hand.
-pub struct DomainGuard {
+/// Opened by [`stage!`](crate::stage!) — not meant to be constructed by
+/// hand.
+pub(crate) struct DomainGuard {
     pushed: bool,
 }
 
 impl DomainGuard {
+    /// A guard that opened nothing.
+    pub(crate) fn inert() -> DomainGuard {
+        DomainGuard { pushed: false }
+    }
+
     /// Enters the domain named `name`, caching its registered slot in
-    /// the per-callsite `cache` (initialized to `usize::MAX`).
-    ///
-    /// Inert (no TLS write, no registration) while tracking is
-    /// disarmed.
-    #[inline]
-    pub fn enter_cached(cache: &AtomicUsize, name: &'static str) -> DomainGuard {
-        if !ARMED.load(Ordering::Relaxed) {
-            return DomainGuard { pushed: false };
-        }
+    /// `cache` (initialized to `usize::MAX`). The caller has checked
+    /// that attribution is armed.
+    pub(crate) fn push(cache: &AtomicUsize, name: &'static str) -> DomainGuard {
         let mut slot = cache.load(Ordering::Relaxed);
         if slot == usize::MAX {
             slot = register(name);
@@ -285,24 +282,6 @@ impl Drop for DomainGuard {
     }
 }
 
-/// Opens a memory-attribution domain covering the rest of the enclosing
-/// block. Only sanctioned call sites may use this (lint rule CRP013).
-///
-/// ```
-/// fn ingest() {
-///     crp_telemetry::mem_domain!("core.tracker");
-///     // allocations here are charged to core.tracker
-/// }
-/// ```
-#[macro_export]
-macro_rules! mem_domain {
-    ($name:literal) => {
-        static __CRP_MEM_DOMAIN_SLOT: ::std::sync::atomic::AtomicUsize =
-            ::std::sync::atomic::AtomicUsize::new(usize::MAX);
-        let _crp_mem_guard = $crate::mem::DomainGuard::enter_cached(&__CRP_MEM_DOMAIN_SLOT, $name);
-    };
-}
-
 // ---------------------------------------------------------------------
 // Lifecycle and snapshots
 // ---------------------------------------------------------------------
@@ -314,13 +293,14 @@ pub fn start() {
     for s in &STATS {
         s.reset();
     }
-    ARMED.store(true, Ordering::Release);
+    stage::arm(stage::MEM);
 }
 
-/// Whether attribution is armed. One relaxed load.
+/// Whether attribution is armed. One relaxed load — the entire
+/// disabled-path cost of every allocator hook.
 #[inline]
 pub fn enabled() -> bool {
-    ARMED.load(Ordering::Relaxed)
+    stage::armed(stage::MEM)
 }
 
 /// Zeroes every domain's counters without changing the armed state —
@@ -334,7 +314,7 @@ pub fn reset() {
 /// Disarms attribution and returns the final snapshot, or `None` if
 /// tracking was not armed.
 pub fn finish() -> Option<MemSnapshot> {
-    if !ARMED.swap(false, Ordering::AcqRel) {
+    if !stage::disarm(stage::MEM) {
         return None;
     }
     Some(snapshot())
@@ -375,7 +355,7 @@ pub fn snapshot() -> MemSnapshot {
 /// Per-domain allocation statistics for one tracked interval.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DomainMem {
-    /// Domain name as passed to [`mem_domain!`], or
+    /// Domain name (a [stage](mod@crate::stage) name), or
     /// [`UNATTRIBUTED`] for slot 0.
     pub name: String,
     /// Signed live bytes at snapshot time (negative when the domain
@@ -488,6 +468,14 @@ pub fn hash_map_footprint(len: usize, entry_size: usize) -> usize {
 mod tests {
     use super::*;
 
+    /// Opens a test domain the way an armed stage guard does.
+    fn domain(name: &'static str) -> DomainGuard {
+        if !enabled() {
+            return DomainGuard::inert();
+        }
+        DomainGuard::push(&AtomicUsize::new(usize::MAX), name)
+    }
+
     /// Serializes the process-global state, so phases must run in one
     /// test function (same pattern as the profiler's global test).
     #[test]
@@ -498,7 +486,7 @@ mod tests {
         // Disarmed: hooks and guards are inert.
         note_alloc(1024);
         {
-            mem_domain!("test.disarmed");
+            let _domain = domain("test.disarmed");
             note_alloc(2048);
         }
         start();
@@ -514,10 +502,10 @@ mod tests {
         note_alloc(100);
         // Armed, inside nested domains: charged innermost.
         {
-            mem_domain!("test.outer");
+            let _domain = domain("test.outer");
             note_alloc(1000);
             {
-                mem_domain!("test.inner");
+                let _domain = domain("test.inner");
                 note_alloc(50);
                 note_alloc(70);
             }
@@ -563,7 +551,7 @@ mod tests {
         // live; peak is the high-water over interleaved scopes.
         start();
         {
-            mem_domain!("test.realloc");
+            let _domain = domain("test.realloc");
             note_alloc(64); // live 64, peak 64
             note_realloc(64, 256); // live 256, peak 256, total 64+192
             note_realloc(256, 128); // live 128, peak unchanged, total same
@@ -582,11 +570,11 @@ mod tests {
         // signed-live semantics.
         start();
         {
-            mem_domain!("test.a");
+            let _domain = domain("test.a");
             note_alloc(512);
         }
         {
-            mem_domain!("test.b");
+            let _domain = domain("test.b");
             note_dealloc(512);
         }
         let snap = finish().expect("armed");
@@ -623,7 +611,7 @@ mod tests {
             if depth == 0 {
                 return;
             }
-            mem_domain!("test.deep");
+            let _domain = domain("test.deep");
             nest(depth - 1);
         }
         nest(STACK_DEPTH + 8);

@@ -20,12 +20,15 @@
 //! registers, so the telemetry determinism contract (and the on/off
 //! determinism test) is untouched: profile output is wall-clock data by
 //! definition and is excluded from any byte-comparison. Like the
-//! collector, the whole machinery hides behind one relaxed atomic load
-//! when disabled ([`scope`] returns an inert guard).
+//! collector, the whole machinery hides behind one relaxed load of the
+//! [armed mask](mod@crate::stage) when disabled ([`scope`] returns an inert
+//! guard).
 //!
 //! This file is the **only** library code in the workspace allowed to
 //! touch `std::time::Instant` (lint rule CRP007; the sanctioned
-//! harness crates `crp-bench` and `crp-eval` are the other exceptions).
+//! harness crates `crp-bench` and `crp-eval` are the other exceptions),
+//! which is why the [`stage!`](crate::stage!) guard, [`StageGuard`],
+//! lives here: its profile node is the wall-clock half.
 //!
 //! # Example
 //!
@@ -44,10 +47,12 @@
 //! assert_eq!(tree.children[0].children[0].name, "inner");
 //! ```
 
+use crate::mem::DomainGuard;
+use crate::stage::{self, Stage};
 use serde::{Deserialize, Serialize};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -238,7 +243,6 @@ fn duration_ns(d: std::time::Duration) -> u64 {
 // Process-global profiler
 // ---------------------------------------------------------------------
 
-static PROFILING: AtomicBool = AtomicBool::new(false);
 /// Bumped by every [`start`]; guards from an earlier session compare
 /// their stored epoch and become no-ops instead of corrupting the tree.
 static EPOCH: AtomicU64 = AtomicU64::new(0);
@@ -256,14 +260,14 @@ pub fn start() {
     let mut slot = profiler_slot();
     EPOCH.fetch_add(1, Ordering::Relaxed);
     *slot = Some(Profiler::new());
-    PROFILING.store(true, Ordering::Release);
+    stage::arm(stage::PROFILE);
 }
 
 /// Whether a global profiler is installed. One relaxed atomic load —
 /// this is the entire disabled-path cost of [`profile_scope!`].
 #[inline]
 pub fn profiling() -> bool {
-    PROFILING.load(Ordering::Relaxed)
+    stage::armed(stage::PROFILE)
 }
 
 /// Tears down the global profiler and returns its aggregated tree, or
@@ -272,7 +276,7 @@ pub fn profiling() -> bool {
 pub fn finish() -> Option<ProfileNode> {
     let profiler = {
         let mut slot = profiler_slot();
-        PROFILING.store(false, Ordering::Release);
+        stage::disarm(stage::PROFILE);
         slot.take()
     };
     profiler.map(|p| p.tree())
@@ -286,6 +290,10 @@ pub fn scope(name: &'static str) -> ScopeGuard {
     if !profiling() {
         return ScopeGuard::inert();
     }
+    open_scope(name)
+}
+
+fn open_scope(name: &'static str) -> ScopeGuard {
     let mut slot = profiler_slot();
     let Some(profiler) = slot.as_mut() else {
         return ScopeGuard::inert();
@@ -358,6 +366,56 @@ macro_rules! profile_scope {
     ($name:literal) => {
         let _crp_profile_guard = $crate::profile::scope($name);
     };
+}
+
+/// The guard [`stage!`](crate::stage!) binds: the stage's memory domain
+/// and profile node, closed in that order when the block ends.
+#[must_use = "bind the guard to a variable so the stage spans the block"]
+pub struct StageGuard {
+    _armed: Option<(DomainGuard, ScopeGuard)>,
+}
+
+impl StageGuard {
+    /// Enters `stage`; prefer [`stage!`](crate::stage!). `now_ms` routes
+    /// the `<name>.calls` bump through
+    /// [`counter_add_at`](crate::counter_add_at). With none of the
+    /// guarded layers armed this is one relaxed load and one branch.
+    #[inline]
+    pub fn enter(stage: &'static Stage, now_ms: Option<u64>) -> StageGuard {
+        let mask = stage::mask();
+        StageGuard {
+            _armed: if mask & stage::GUARDED == 0 {
+                None
+            } else {
+                open_stage(stage, mask, now_ms)
+            },
+        }
+    }
+}
+
+fn open_stage(
+    stage: &'static Stage,
+    mask: u32,
+    now_ms: Option<u64>,
+) -> Option<(DomainGuard, ScopeGuard)> {
+    let guards = (mask & (stage::PROFILE | stage::MEM) != 0).then(|| {
+        let scope = if mask & stage::PROFILE != 0 {
+            open_scope(stage.name)
+        } else {
+            ScopeGuard::inert()
+        };
+        let mem = if mask & stage::MEM != 0 {
+            DomainGuard::push(&stage.mem_slot, stage.name)
+        } else {
+            DomainGuard::inert()
+        };
+        (mem, scope)
+    });
+    match now_ms {
+        Some(time_ms) => crate::counter_add_at(time_ms, stage.calls, 1),
+        None => crate::counter_add(stage.calls, 1),
+    }
+    guards
 }
 
 // ---------------------------------------------------------------------

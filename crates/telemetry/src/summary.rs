@@ -143,7 +143,7 @@ mod tests {
             sink_dropped: 0,
             counters: vec![
                 CounterEntry {
-                    name: "cdn.queries".to_owned(),
+                    name: "cdn.authoritative_answer.calls".to_owned(),
                     value: 120,
                 },
                 CounterEntry {
@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn lookups_find_entries_by_name() {
         let s = sample();
-        assert_eq!(s.counter("cdn.queries"), Some(120));
+        assert_eq!(s.counter("cdn.authoritative_answer.calls"), Some(120));
         assert_eq!(s.counter("missing"), None);
         assert_eq!(s.gauge("core.smf.clusters"), Some(4.0));
         assert_eq!(s.gauge("missing"), None);
@@ -202,7 +202,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.events_recorded, 6);
         assert_eq!(a.spans_recorded, 2);
-        assert_eq!(a.counter("cdn.queries"), Some(240));
+        assert_eq!(a.counter("cdn.authoritative_answer.calls"), Some(240));
         assert_eq!(a.counter("core.similarity.calls"), Some(1800));
         assert_eq!(a.counter("aaa.first"), Some(7));
         // Gauges are last-write-wins.
@@ -220,7 +220,7 @@ mod tests {
         a.events_recorded = u64::MAX;
         let b = sample();
         a.merge(&b);
-        assert_eq!(a.counter("cdn.queries"), Some(u64::MAX));
+        assert_eq!(a.counter("cdn.authoritative_answer.calls"), Some(u64::MAX));
         assert_eq!(a.events_recorded, u64::MAX);
     }
 

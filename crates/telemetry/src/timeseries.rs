@@ -20,7 +20,6 @@
 use crate::metrics::default_bounds;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// One retention tier: `slots` ring-buffered windows of `window_ms`
@@ -471,7 +470,6 @@ pub struct ExemplarExport {
     pub trace: String,
 }
 
-static TS_ENABLED: AtomicBool = AtomicBool::new(false);
 static STORE: Mutex<Option<TimeSeriesStore>> = Mutex::new(None);
 
 fn store_slot() -> MutexGuard<'static, Option<TimeSeriesStore>> {
@@ -484,19 +482,19 @@ fn store_slot() -> MutexGuard<'static, Option<TimeSeriesStore>> {
 pub fn start(config: TimeSeriesConfig) {
     let mut slot = store_slot();
     *slot = Some(TimeSeriesStore::new(config));
-    TS_ENABLED.store(true, Ordering::Release);
+    crate::stage::arm(crate::stage::TIMESERIES);
 }
 
 /// Whether the global store is live. One relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    TS_ENABLED.load(Ordering::Relaxed)
+    crate::stage::armed(crate::stage::TIMESERIES)
 }
 
 /// Tears down the global store and returns it, or `None` if not live.
 pub fn finish() -> Option<TimeSeriesStore> {
     let mut slot = store_slot();
-    TS_ENABLED.store(false, Ordering::Release);
+    crate::stage::disarm(crate::stage::TIMESERIES);
     slot.take()
 }
 

@@ -18,7 +18,7 @@
 //! the observation was recorded. Trackers therefore stamp each
 //! observation with the then-current trace id; at query time
 //! [`resume`] re-activates those traces and registers them in a
-//! *query set*, and [`query_stage`] fans a stage (e.g. `core.ranking`)
+//! *query set*, and [`query_stage`] fans a stage (e.g. `core.rank`)
 //! out to every trace that contributed data to the query — which is what
 //! lets a tail-latency exemplar link all the way from the CDN redirection
 //! event to the ranking it influenced.
@@ -28,7 +28,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// A trace identifier. Always non-zero; 0 is the "no trace" sentinel in
@@ -260,13 +260,12 @@ impl TraceTree {
 pub struct SpanNode {
     /// Simulated time the stage (first) fired.
     pub time_ms: u64,
-    /// Stage name, e.g. `core.ranking`.
+    /// Stage name, e.g. `core.rank`.
     pub name: String,
     /// How many consecutive times the stage fired.
     pub count: u64,
 }
 
-static TR_ENABLED: AtomicBool = AtomicBool::new(false);
 static CURRENT: AtomicU64 = AtomicU64::new(0);
 static TRACES: Mutex<Option<TraceStore>> = Mutex::new(None);
 
@@ -281,21 +280,21 @@ pub fn start(config: TraceConfig) {
     let mut slot = trace_slot();
     *slot = Some(TraceStore::new(config));
     CURRENT.store(0, Ordering::Release);
-    TR_ENABLED.store(true, Ordering::Release);
+    crate::stage::arm(crate::stage::TRACE);
 }
 
 /// Whether tracing is live. One relaxed atomic load — this is the entire
 /// hot-path cost when tracing is off.
 #[inline]
 pub fn enabled() -> bool {
-    TR_ENABLED.load(Ordering::Relaxed)
+    crate::stage::armed(crate::stage::TRACE)
 }
 
 /// Tears down the global store and returns its log, or `None`.
 pub fn finish() -> Option<TraceLog> {
     let store = {
         let mut slot = trace_slot();
-        TR_ENABLED.store(false, Ordering::Release);
+        crate::stage::disarm(crate::stage::TRACE);
         CURRENT.store(0, Ordering::Release);
         slot.take()
     };
@@ -444,8 +443,8 @@ mod tests {
     fn trace_lifecycle_sampling_and_query_fanout() {
         // Phase 1: disabled — everything is a no-op and current stays 0.
         assert!(!enabled());
-        begin(mint(&[1, 2, 3]), 10, "cdn.redirect");
-        stage_at(11, "core.tracker.record");
+        begin(mint(&[1, 2, 3]), 10, "cdn.authoritative_answer");
+        stage_at(11, "core.tracker");
         assert_eq!(current_raw(), 0);
         assert!(finish().is_none());
 
@@ -458,19 +457,19 @@ mod tests {
         let a = mint(&[7, 1]);
         let b = mint(&[7, 2]);
         assert_ne!(a, b);
-        begin(a, 100, "cdn.redirect");
+        begin(a, 100, "cdn.authoritative_answer");
         assert_eq!(current_raw(), a.raw());
-        stage_at(100, "core.tracker.record");
-        stage_at(100, "core.tracker.record"); // collapses into count=2
-        begin(b, 200, "cdn.redirect");
-        stage_at(200, "core.tracker.record");
+        stage_at(100, "core.tracker");
+        stage_at(100, "core.tracker"); // collapses into count=2
+        begin(b, 200, "cdn.authoritative_answer");
+        stage_at(200, "core.tracker");
 
         // Query scope: both observations feed it; ranking reaches both.
         begin_query(300);
         resume(a.raw(), 300, "core.ratio_map");
         resume(b.raw(), 300, "core.ratio_map");
         query_stage("core.similarity");
-        query_stage("core.ranking");
+        query_stage("core.rank");
         resume(0, 300, "core.ratio_map"); // no-op sentinel
         resume(0xDEAD, 300, "core.ratio_map"); // unknown id: no-op
         resume(a.raw(), 310, "core.overflow"); // 6th distinct stage: over the cap
@@ -480,15 +479,15 @@ mod tests {
         assert_eq!(log.sampled, 2);
         assert_eq!(log.traces.len(), 2);
         let ta = log.trace(&a.to_hex()).expect("trace a sampled");
-        assert_eq!(ta.spans[0].name, "cdn.redirect");
+        assert_eq!(ta.spans[0].name, "cdn.authoritative_answer");
         assert_eq!(ta.spans[1].count, 2, "consecutive stages collapse");
         assert!(ta.reaches("core.ratio_map"));
         assert!(ta.reaches("core.similarity"));
-        assert!(ta.reaches("core.ranking"));
+        assert!(ta.reaches("core.rank"));
         assert!(log
             .trace(&b.to_hex())
             .expect("trace b")
-            .reaches("core.ranking"));
+            .reaches("core.rank"));
         // Span cap: 5 spans max, the 6th stage was dropped and counted.
         assert_eq!(ta.spans.len(), 5);
         assert_eq!(ta.dropped_spans, 1);
@@ -501,7 +500,7 @@ mod tests {
             max_spans_per_trace: 8,
         });
         for i in 0..50u64 {
-            begin(mint(&[9, i]), i, "cdn.redirect");
+            begin(mint(&[9, i]), i, "cdn.authoritative_answer");
         }
         let log = finish().expect("store was live");
         assert_eq!(log.minted, 50);
@@ -512,14 +511,14 @@ mod tests {
         let run = || {
             start(TraceConfig::default());
             for i in 0..40u64 {
-                begin(mint(&[11, i]), i * 10, "cdn.redirect");
-                stage_at(i * 10, "core.tracker.record");
+                begin(mint(&[11, i]), i * 10, "cdn.authoritative_answer");
+                stage_at(i * 10, "core.tracker");
             }
             begin_query(500);
             for i in 0..40u64 {
                 resume(mint(&[11, i]).raw(), 500, "core.ratio_map");
             }
-            query_stage("core.ranking");
+            query_stage("core.rank");
             serde_json::to_string(&finish().expect("live")).expect("serialize")
         };
         let x = run();
@@ -534,7 +533,7 @@ mod tests {
             max_spans_per_trace: 8,
         });
         for i in 0..5u64 {
-            begin(mint(&[13, i]), i, "cdn.redirect");
+            begin(mint(&[13, i]), i, "cdn.authoritative_answer");
         }
         let log = finish().expect("live");
         assert_eq!(log.traces.len(), 2);

@@ -73,11 +73,6 @@ pub enum Scope {
     /// Every classified non-harness file outside test regions —
     /// `crp-lint: allow` markers are audited wherever they appear.
     AllowMarkers,
-    /// Library and binary sources outside the sanctioned memory-domain
-    /// call sites ([`MEM_DOMAIN_FILES`]) and test regions. Allocation
-    /// attribution boundaries (`mem_domain!`) are reviewed subsystem
-    /// borders, not ad-hoc annotations.
-    MemDomain,
 }
 
 /// How a rule finds its violations.
@@ -279,17 +274,6 @@ pub const RULES: &[Rule] = &[
                   the lines it covers; delete it or correct its rule list",
     },
     Rule {
-        id: "CRP013",
-        check: Check::Patterns(&["mem_domain!"]),
-        scope: Scope::MemDomain,
-        severity: Severity::Error,
-        message: "memory-attribution domain opened outside the sanctioned \
-                  sites; mem_domain! boundaries are reviewed subsystem \
-                  borders (core kernels, the CDN answer path, the eval \
-                  experiment drivers) — add the file to MEM_DOMAIN_FILES \
-                  after review instead of scattering domains",
-    },
-    Rule {
         id: "CRP014",
         check: Check::Reachability(Reach::Alloc),
         scope: Scope::HotPath,
@@ -439,30 +423,9 @@ const PROVENANCE_FILES: &[&str] = &[
     "crates/cdn/src/events.rs",
     "crates/telemetry/src/timeseries.rs",
     "crates/eval/src/audit.rs",
-    "crates/eval/src/telemetry.rs",
     // The bench harness drives the trace hooks on purpose: the traced
     // ingest row measures exactly the cost CRP008 exists to contain.
     "crates/bench/src/bin/bench_all.rs",
-];
-
-/// The sanctioned memory-attribution call sites (CRP013 exemption): the
-/// reviewed subsystem borders where `mem_domain!` opens an allocation
-/// domain — the core kernels and tracker ingest, the CDN answer path,
-/// the experiment drivers that own the outermost domains, and the mem
-/// module itself (macro definition and self-tests).
-const MEM_DOMAIN_FILES: &[&str] = &[
-    "crates/telemetry/src/mem.rs",
-    // The change-detector scan is a subsystem border of its own: it
-    // walks every recorded history, so its allocations are attributed
-    // separately from the audit drift layer.
-    "crates/audit/src/detect.rs",
-    "crates/core/src/tracker.rs",
-    "crates/core/src/select.rs",
-    "crates/core/src/cluster.rs",
-    "crates/cdn/src/cdn.rs",
-    "crates/eval/src/closest.rs",
-    "crates/eval/src/clusterexp.rs",
-    "src/scenario.rs",
 ];
 
 /// The declared hot-path set (CRP009): per file, the functions on the
@@ -576,8 +539,6 @@ struct FileClass {
     wall_clock_exempt: bool,
     /// Whether the file is on the [`PROVENANCE_FILES`] exemption list.
     provenance_exempt: bool,
-    /// Whether the file is on the [`MEM_DOMAIN_FILES`] exemption list.
-    mem_exempt: bool,
 }
 
 /// Directories never scanned.
@@ -591,7 +552,6 @@ fn classify(rel: &Path) -> Option<FileClass> {
     let joined = parts.join("/");
     let wall_clock_exempt = WALL_CLOCK_FILES.contains(&joined.as_str());
     let provenance_exempt = PROVENANCE_FILES.contains(&joined.as_str());
-    let mem_exempt = MEM_DOMAIN_FILES.contains(&joined.as_str());
     if parts
         .iter()
         .any(|p| matches!(*p, "tests" | "benches" | "examples"))
@@ -608,7 +568,6 @@ fn classify(rel: &Path) -> Option<FileClass> {
             joined,
             wall_clock_exempt,
             provenance_exempt,
-            mem_exempt,
         });
     }
     if parts.first() == Some(&"crates") {
@@ -627,7 +586,6 @@ fn classify(rel: &Path) -> Option<FileClass> {
             joined,
             wall_clock_exempt,
             provenance_exempt,
-            mem_exempt,
         });
     }
     if parts.first() == Some(&"src") {
@@ -637,7 +595,6 @@ fn classify(rel: &Path) -> Option<FileClass> {
             joined,
             wall_clock_exempt,
             provenance_exempt,
-            mem_exempt,
         });
     }
     None
@@ -679,7 +636,6 @@ fn rule_applies(rule: &Rule, class: &FileClass, in_test_region: bool) -> bool {
                 && SERVING_CRATES.contains(&class.crate_name.as_str())
         }
         Scope::AllowMarkers => class.kind != FileKind::Harness && !in_test_region,
-        Scope::MemDomain => class.kind != FileKind::Harness && !in_test_region && !class.mem_exempt,
     }
 }
 
@@ -1687,7 +1643,6 @@ mod tests {
             "crates/core/src/service.rs",
             "crates/cdn/src/cdn.rs",
             "crates/eval/src/audit.rs",
-            "crates/eval/src/telemetry.rs",
         ] {
             let diags = lint_source(&PathBuf::from(sanctioned), src, &[]);
             assert!(
@@ -1700,31 +1655,6 @@ mod tests {
                            crate::explain::record_inversion(r); }\n}\n";
         let diags = lint_source(&PathBuf::from("crates/core/src/ratio.rs"), test_region, &[]);
         assert!(diags.iter().all(|d| d.rule != "CRP008"), "{diags:?}");
-        assert!(lint_source(&PathBuf::from("tests/determinism.rs"), src, &[]).is_empty());
-    }
-
-    #[test]
-    fn mem_domains_flagged_outside_sanctioned_sites() {
-        let src = "fn f() { crp_telemetry::mem_domain!(\"rogue.domain\"); }\n";
-        // An unsanctioned module: CRP013 fires.
-        let diags = lint_source(&PathBuf::from("crates/core/src/ratio.rs"), src, &[]);
-        assert!(diags.iter().any(|d| d.rule == "CRP013"), "{diags:?}");
-        // Binaries are covered too — attribution boundaries are reviewed.
-        let bin = lint_source(&PathBuf::from("crates/eval/src/bin/fig4.rs"), src, &[]);
-        assert!(bin.iter().any(|d| d.rule == "CRP013"), "{bin:?}");
-        // The reviewed subsystem borders are exempt.
-        for sanctioned in MEM_DOMAIN_FILES {
-            let diags = lint_source(&PathBuf::from(sanctioned), src, &[]);
-            assert!(
-                diags.iter().all(|d| d.rule != "CRP013"),
-                "{sanctioned} should be mem-domain-sanctioned, got {diags:?}"
-            );
-        }
-        // Test regions and harness code stay exempt.
-        let test_region = "#[cfg(test)]\nmod tests {\n    fn t() { \
-                           crp_telemetry::mem_domain!(\"test.domain\"); }\n}\n";
-        let diags = lint_source(&PathBuf::from("crates/core/src/ratio.rs"), test_region, &[]);
-        assert!(diags.iter().all(|d| d.rule != "CRP013"), "{diags:?}");
         assert!(lint_source(&PathBuf::from("tests/determinism.rs"), src, &[]).is_empty());
     }
 

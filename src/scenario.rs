@@ -100,7 +100,7 @@ impl Scenario {
     /// Panics if the config is degenerate (no customer names, invalid
     /// mapping config, non-positive CDN scale).
     pub fn build(cfg: ScenarioConfig) -> Scenario {
-        crp_telemetry::mem_domain!("scenario.build");
+        crp_telemetry::stage!(SCENARIO_BUILD);
         assert!(!cfg.customer_names.is_empty(), "need at least one CDN name");
         let mut builder = NetworkBuilder::new(cfg.seed);
         if let Some(latency) = cfg.latency.clone() {
@@ -196,10 +196,12 @@ impl Scenario {
         window: WindowPolicy,
         metric: SimilarityMetric,
     ) -> CrpService<HostId, ReplicaId> {
-        crp_telemetry::profile_scope!("scenario.observe");
-        crp_telemetry::mem_domain!("scenario.observe");
+        crp_telemetry::stage!(SCENARIO_OBSERVE);
         let mut service = CrpService::new(window, metric);
-        let campaign = crp_telemetry::span(start.as_millis(), "scenario.observe");
+        let campaign = crp_telemetry::span(
+            start.as_millis(),
+            crp_telemetry::stage::SCENARIO_OBSERVE.name,
+        );
         for &host in hosts {
             let mut probe = CdnProbe::new(&self.cdn, host, self.names.to_vec())
                 .filter_cdn_owned(self.filter_cdn_owned);

@@ -9,7 +9,7 @@
 use crp::{Scenario, ScenarioConfig};
 use crp_core::{SimilarityMetric, WindowPolicy};
 use crp_netsim::{SimDuration, SimTime};
-use crp_telemetry::{timeseries, trace};
+use crp_telemetry::{stage, timeseries, trace};
 
 #[test]
 fn top_bucket_exemplars_resolve_to_traces_reaching_the_ranking_kernel() {
@@ -64,13 +64,17 @@ fn top_bucket_exemplars_resolve_to_traces_reaching_the_ranking_kernel() {
     let tree = traces
         .trace(&top.trace)
         .expect("exemplar trace id resolves to a sampled trace");
-    assert!(tree.reaches("cdn.redirect"), "missing root span: {tree:?}");
+    assert_eq!(
+        tree.spans[0].name,
+        stage::CDN_AUTHORITATIVE_ANSWER.name,
+        "missing root span: {tree:?}"
+    );
     assert!(
-        tree.reaches("core.tracker.record"),
+        tree.reaches(stage::CORE_TRACKER.name),
         "ingest span missing: {tree:?}"
     );
     assert!(
-        tree.reaches("core.ranking"),
+        tree.reaches(stage::CORE_RANK.name),
         "exemplar trace never reached the ranking kernel: {tree:?}"
     );
 

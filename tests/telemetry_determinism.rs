@@ -1,14 +1,18 @@
-//! Telemetry, profiling, and decision provenance must be pure
-//! observers: enabling any of them cannot change experiment output, and
-//! identical runs must produce identical telemetry and provenance. One
-//! test function drives all phases because the collector and the
-//! explain log are process-global — parallel test threads must not
-//! share them.
+//! Every observer layer must be a pure observer: arming any of them
+//! cannot change experiment output, and identical runs must produce
+//! identical artifacts. One test function loops over the armed-layer
+//! sets because the layers are process-global — parallel test threads
+//! must not share them.
 
 use crp::{Scenario, ScenarioConfig};
 use crp_core::{SimilarityMetric, WindowPolicy};
 use crp_netsim::{SimDuration, SimTime};
+use crp_telemetry::stage::{self, EXPLAIN, MEM, METRICS, PROFILE, TIMESERIES, TRACE};
+use crp_telemetry::{alert, mem, profile, timeseries, trace, MemorySink, Record};
 use std::fmt::Write as _;
+use std::sync::{Arc, Mutex};
+
+const LAYERS: [u32; 6] = [METRICS, PROFILE, MEM, TIMESERIES, TRACE, EXPLAIN];
 
 /// Runs a small fixed-seed campaign and renders everything downstream
 /// code consumes — per-host ratio maps and the per-client Top-3
@@ -45,179 +49,38 @@ fn campaign_fingerprint() -> String {
 
 #[test]
 fn telemetry_never_perturbs_results_and_is_itself_deterministic() {
-    // Phase 1: baseline with telemetry disabled.
-    assert!(!crp_telemetry::enabled());
+    assert_eq!(stage::mask(), 0, "nothing is armed by default");
     let baseline = campaign_fingerprint();
     assert!(!baseline.is_empty());
 
-    // Phase 2: full telemetry (memory sink). Outputs must be identical.
-    let (sink, records) = crp_telemetry::MemorySink::shared();
-    crp_telemetry::install(Box::new(sink));
-    let observed = campaign_fingerprint();
-    let summary_a = crp_telemetry::shutdown("determinism").expect("collector installed");
-    assert_eq!(baseline, observed, "telemetry changed experiment output");
-    assert!(
-        summary_a.counter("core.tracker.observations").unwrap_or(0) > 0,
-        "instrumentation did not fire: {summary_a:?}"
-    );
-    assert!(!records.lock().expect("sink store").is_empty());
+    // None, each layer alone, and all together, each run twice: the
+    // output must match the unobserved run, every armed layer must fire,
+    // and both runs must serialize identical artifacts.
+    let all = LAYERS.iter().fold(0, |acc, layer| acc | layer);
+    let mut metrics_counters: Option<String> = None;
+    for layers in [0].into_iter().chain(LAYERS).chain([all]) {
+        let first = observed_run(layers, &baseline);
+        assert_eq!(
+            first,
+            observed_run(layers, &baseline),
+            "layers {layers:#08b}: same seed must serialize identical artifacts"
+        );
+        // No other layer bumps a counter, so the collector's counters
+        // are the same whichever layers ride along.
+        if let Some((_, counters)) = first.iter().find(|(layer, _)| *layer == METRICS) {
+            let reference = metrics_counters.get_or_insert_with(|| counters.clone());
+            assert_eq!(
+                reference, counters,
+                "layers {layers:#08b} changed the counters"
+            );
+        }
+    }
+    assert_eq!(campaign_fingerprint(), baseline, "disarmed again");
 
-    // Phase 3: a second instrumented run collects the identical summary.
-    crp_telemetry::install_metrics_only();
-    let again = campaign_fingerprint();
-    let summary_b = crp_telemetry::shutdown("determinism").expect("collector installed");
-    assert_eq!(baseline, again);
-    assert_eq!(
-        summary_a.counters, summary_b.counters,
-        "same seed must aggregate identical counters"
-    );
-    assert_eq!(summary_a.histograms, summary_b.histograms);
-
-    // Phase 4: disabled again — still the same output.
-    assert!(!crp_telemetry::enabled());
-    assert_eq!(campaign_fingerprint(), baseline);
-
-    // Phase 5: wall-clock profiling enabled (telemetry off). The
-    // profiler must observe the run (non-empty scope tree) without
-    // perturbing a single byte of output. The tree itself is wall-clock
-    // data and is excluded from the determinism comparison by design.
-    crp_telemetry::profile::start();
-    let profiled = campaign_fingerprint();
-    let tree = crp_telemetry::profile::finish().expect("profiler installed");
-    assert_eq!(baseline, profiled, "profiling changed experiment output");
-    assert!(
-        tree.child("scenario.observe").is_some(),
-        "profile scopes did not fire: {tree:?}"
-    );
-    assert!(tree.node_count() > 2, "expected nested scopes: {tree:?}");
-
-    // Phase 6: telemetry AND profiling together — both observers on,
-    // output still byte-identical, metrics still deterministic.
-    crp_telemetry::install_metrics_only();
-    crp_telemetry::profile::start();
-    let both = campaign_fingerprint();
-    let summary_c = crp_telemetry::shutdown("determinism").expect("collector installed");
-    let _ = crp_telemetry::profile::finish();
-    assert_eq!(baseline, both);
-    assert_eq!(summary_a.counters, summary_c.counters);
-
-    // Phase 7: decision provenance (the --audit recorder) enabled. The
-    // explain hooks sit inside similarity/ranking/clustering hot paths,
-    // so this is the strongest perturbation candidate — output must
-    // stay byte-identical while the drained log proves the hooks fired.
-    crp_core::explain::start();
-    let audited = campaign_fingerprint();
-    let log = crp_core::explain::finish().expect("explain recorder started");
-    assert_eq!(baseline, audited, "provenance changed experiment output");
-    assert!(
-        !log.similarities.is_empty() && !log.rankings.is_empty(),
-        "explain hooks did not fire: {} records",
-        log.len()
-    );
-
-    // Phase 8: provenance off again — and a second audited run records
-    // the identical log (provenance itself is deterministic).
-    assert!(!crp_core::explain::enabled());
-    assert_eq!(campaign_fingerprint(), baseline);
-    crp_core::explain::start();
-    let _ = campaign_fingerprint();
-    let log_b = crp_core::explain::finish().expect("explain recorder started");
-    assert_eq!(log, log_b, "same seed must record identical provenance");
-
-    // Phase 9: the full live-observability stack — SimTime time-series
-    // store, causal tracing, and the alert replay over the finished
-    // store. All of it rides the same hot paths as provenance, so the
-    // same bar applies: byte-identical experiment output, and every
-    // collector demonstrably fed.
-    crp_telemetry::timeseries::start(crp_telemetry::timeseries::TimeSeriesConfig::default());
-    crp_telemetry::trace::start(crp_telemetry::trace::TraceConfig::default());
-    let live = campaign_fingerprint();
-    let store = crp_telemetry::timeseries::finish().expect("time-series store started");
-    let traces = crp_telemetry::trace::finish().expect("trace collector started");
-    assert_eq!(
-        baseline, live,
-        "live observability changed experiment output"
-    );
-    let export = store.export();
-    assert!(
-        export.series("cdn.best_candidate_ms").is_some(),
-        "ingest latency series missing: {:?}",
-        export.series.iter().map(|s| &s.name).collect::<Vec<_>>()
-    );
-    assert!(traces.minted > 0, "no traces minted: {traces:?}");
-    let alerts = crp_telemetry::alert::AlertEngine::new(crp_telemetry::alert::default_rules())
-        .evaluate(&store);
-    assert!(
-        alerts.rule("ingest-latency-p99").is_some(),
-        "default rules not evaluated"
-    );
-
-    // Phase 10: a second live run serializes byte-identical time
-    // series, alert log, and trace trees — the artifacts CI diffs.
-    crp_telemetry::timeseries::start(crp_telemetry::timeseries::TimeSeriesConfig::default());
-    crp_telemetry::trace::start(crp_telemetry::trace::TraceConfig::default());
-    assert_eq!(campaign_fingerprint(), baseline);
-    let store_b = crp_telemetry::timeseries::finish().expect("time-series store started");
-    let traces_b = crp_telemetry::trace::finish().expect("trace collector started");
-    let alerts_b = crp_telemetry::alert::AlertEngine::new(crp_telemetry::alert::default_rules())
-        .evaluate(&store_b);
-    assert_eq!(
-        serde_json::to_string(&export).expect("serializable"),
-        serde_json::to_string(&store_b.export()).expect("serializable"),
-        "same seed must export identical time series"
-    );
-    assert_eq!(
-        serde_json::to_string(&traces).expect("serializable"),
-        serde_json::to_string(&traces_b).expect("serializable"),
-        "same seed must record identical traces"
-    );
-    assert_eq!(
-        serde_json::to_string(&alerts).expect("serializable"),
-        serde_json::to_string(&alerts_b).expect("serializable"),
-        "same seed must replay identical alerts"
-    );
-
-    // Phase 11: everything off again — the baseline still reproduces.
-    assert!(!crp_telemetry::trace::enabled());
-    assert_eq!(campaign_fingerprint(), baseline);
-
-    // Phase 12: allocation attribution (the --mem layer) armed. It taps
-    // the global allocator on the wall-clock side — the one observer
-    // that sees *every* allocation the experiment makes — so the purity
-    // bar matters most here: arming it must not change a byte of
-    // output. (This test binary installs no counting allocator, so the
-    // counters stay zero; what is under test is the armed code path
-    // riding along with every campaign allocation.)
-    crp_telemetry::mem::start();
-    let attributed = campaign_fingerprint();
-    let mem_a = crp_telemetry::mem::finish().expect("attribution armed");
-    assert_eq!(
-        baseline, attributed,
-        "memory attribution changed experiment output"
-    );
-    assert!(
-        mem_a.domain("scenario.observe").is_some() && mem_a.domain("core.tracker").is_some(),
-        "campaign domains not registered: {mem_a:?}"
-    );
-
-    // Phase 13: a second armed run serializes the identical snapshot —
-    // domain registration and ordering are deterministic, so the
-    // `<experiment>_mem.json` artifact is CI-diffable like the rest.
-    crp_telemetry::mem::start();
-    assert_eq!(campaign_fingerprint(), baseline);
-    let mem_b = crp_telemetry::mem::finish().expect("attribution armed");
-    assert_eq!(
-        serde_json::to_string(&mem_a).expect("serializable"),
-        serde_json::to_string(&mem_b).expect("serializable"),
-        "same seed must snapshot identical attribution"
-    );
-    assert!(!crp_telemetry::mem::enabled());
-    assert_eq!(campaign_fingerprint(), baseline);
-
-    // Phase 14: the online change detector. It reads the recorded
-    // service history after the fact, so the purity bar is the same as
-    // for every observer above: a campaign whose history is scanned
-    // must produce byte-identical experiment output to one that is not.
+    // The online change detector reads the recorded service history
+    // after the fact, so the purity bar is the same as for every
+    // observer above: a campaign whose history is scanned must produce
+    // byte-identical experiment output to one that is not.
     let detector_off = event_campaign_fingerprint(false);
     let detector_on = event_campaign_fingerprint(true);
     assert_eq!(
@@ -227,14 +90,120 @@ fn telemetry_never_perturbs_results_and_is_itself_deterministic() {
     let report = detector_on.1.expect("detector ran");
     assert!(!report.windows.is_empty(), "scan saw no windows");
 
-    // Phase 15: a second detector-on replay serializes the identical
-    // detection report — the artifact the change-detect CI smoke diffs.
+    // A second detector-on replay serializes the identical detection
+    // report — the artifact the change-detect CI smoke diffs.
     let report_b = event_campaign_fingerprint(true).1.expect("detector ran");
     assert_eq!(
         serde_json::to_string(&report).expect("serializable"),
         serde_json::to_string(&report_b).expect("serializable"),
         "same seed must scan to an identical detection report"
     );
+}
+
+macro_rules! json {
+    ($value:expr) => {
+        serde_json::to_string(&$value).expect("serializable")
+    };
+}
+
+/// Arms `layers`, runs the campaign, checks that its output equals
+/// `baseline`, and returns what [`finish`] collected.
+fn observed_run(layers: u32, baseline: &str) -> Vec<(u32, String)> {
+    if layers & PROFILE != 0 {
+        profile::start();
+    }
+    if layers & MEM != 0 {
+        mem::start();
+    }
+    if layers & TIMESERIES != 0 {
+        timeseries::start(timeseries::TimeSeriesConfig::default());
+    }
+    if layers & TRACE != 0 {
+        trace::start(trace::TraceConfig::default());
+    }
+    if layers & EXPLAIN != 0 {
+        crp_core::explain::start();
+    }
+    let records = (layers & METRICS != 0).then(|| {
+        let (sink, records) = MemorySink::shared();
+        crp_telemetry::install(Box::new(sink));
+        records
+    });
+    let output = campaign_fingerprint();
+    let artifacts = finish(layers, records);
+    assert_eq!(
+        output, baseline,
+        "layers {layers:#08b} changed experiment output"
+    );
+    artifacts
+}
+
+/// Tears every layer down and returns each armed layer's serialized
+/// artifacts, checking that its hooks fired and that exactly the armed
+/// layers left one. The profile tree is wall-clock data, so only its
+/// presence counts.
+fn finish(layers: u32, records: Option<Arc<Mutex<Vec<Record>>>>) -> Vec<(u32, String)> {
+    let mut out = Vec::new();
+    if let Some(summary) = crp_telemetry::shutdown("determinism") {
+        assert!(
+            summary.counter(stage::CORE_TRACKER.calls).unwrap_or(0) > 0,
+            "instrumentation did not fire: {summary:?}"
+        );
+        let records = records.expect("metrics armed with a memory sink");
+        assert!(!records.lock().expect("sink store").is_empty());
+        out.push((METRICS, json!(summary.counters)));
+        out.push((METRICS, json!(summary.histograms)));
+    }
+    if let Some(tree) = profile::finish() {
+        assert!(
+            tree.child(stage::SCENARIO_OBSERVE.name).is_some(),
+            "profile scopes did not fire: {tree:?}"
+        );
+        assert!(tree.node_count() > 2, "expected nested scopes: {tree:?}");
+        out.push((PROFILE, String::new()));
+    }
+    // This test binary installs no counting allocator, so the counts
+    // stay zero; under test are the armed code path riding along with
+    // every campaign allocation and deterministic registration.
+    if let Some(snapshot) = mem::finish() {
+        assert!(
+            snapshot.domain(stage::SCENARIO_OBSERVE.name).is_some()
+                && snapshot.domain(stage::CORE_TRACKER.name).is_some(),
+            "campaign domains not registered: {snapshot:?}"
+        );
+        out.push((MEM, json!(snapshot)));
+    }
+    if let Some(store) = timeseries::finish() {
+        let export = store.export();
+        assert!(
+            export.series("cdn.best_candidate_ms").is_some(),
+            "ingest latency series missing: {:?}",
+            export.series.iter().map(|s| &s.name).collect::<Vec<_>>()
+        );
+        let alerts = alert::AlertEngine::new(alert::default_rules()).evaluate(&store);
+        assert!(
+            alerts.rule("ingest-latency-p99").is_some(),
+            "default rules not evaluated"
+        );
+        out.push((TIMESERIES, json!(export)));
+        out.push((TIMESERIES, json!(alerts)));
+    }
+    if let Some(traces) = trace::finish() {
+        assert!(traces.minted > 0, "no traces minted: {traces:?}");
+        out.push((TRACE, json!(traces)));
+    }
+    if let Some(log) = crp_core::explain::finish() {
+        assert!(
+            !log.similarities.is_empty() && !log.rankings.is_empty(),
+            "explain hooks did not fire: {} records",
+            log.len()
+        );
+        out.push((EXPLAIN, json!(log)));
+    }
+    let fired = out.iter().fold(0, |acc, (layer, _)| acc | layer);
+    assert_eq!(fired, layers, "exactly the armed layers leave artifacts");
+    assert_eq!(stage::mask(), 0, "finishing disarms every layer");
+    out
 }
 
 /// Runs a small fixed-seed campaign over a scripted-event world and
