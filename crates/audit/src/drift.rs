@@ -247,7 +247,7 @@ where
                 .collect();
             let clustering = cfg.smf.as_ref().map(|smf| service.cluster(smf, t));
             // Capacity gauges, sampled at each snapshot boundary so
-            // live_report can chart occupancy growth over the scan.
+            // the report dashboard can chart occupancy growth over the scan.
             if crp_telemetry::timeseries::enabled() {
                 use crp_telemetry::MemFootprint;
                 crp_telemetry::observe_at(

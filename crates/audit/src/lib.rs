@@ -24,10 +24,9 @@
 //!   warmup, and cooldowns for false-alarm control. The [`detect::scan`]
 //!   driver replays a recorded history through the detector and feeds
 //!   `detect.*` series to the crp-telemetry alert engine.
-//! * [`report`] — health verdicts ([`HealthVerdict`]) that the
-//!   `audit_report` generator in crp-eval joins with provenance records,
-//!   telemetry summaries, and bench baselines into
-//!   `results/audit_report.json`.
+//! * [`report`] — the run-health verdicts ([`HealthVerdict`]) that
+//!   crp-eval's `report` binary and `run_all` compute over an observed
+//!   run's manifests and write into `run_report.json`.
 //!
 //! Everything here is an observer over an already-recorded history:
 //! drift scanning never mutates the service and is keyed exclusively by

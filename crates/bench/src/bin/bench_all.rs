@@ -16,8 +16,9 @@
 //! pass, a second **attribution pass** re-runs the tracked rows with
 //! `crp_telemetry::mem` armed — armed attribution taxes every
 //! allocation, so it must never overlap the timed iterations — and the
-//! per-domain budgets land in `<out>/mem.json`, the input `mem_check`
-//! gates against `MEM_BASELINE.json` and `mem_report` renders.
+//! per-domain budgets land in `<out>/mem.json`, which `bench_check`
+//! gates against `MEM_BASELINE.json` and renders as an attribution
+//! table.
 
 use crp_bench::harness::{self, MemReport, MemResult, Runner};
 use crp_bench::{observed_scenario, synthetic_map, synthetic_maps};

@@ -299,7 +299,7 @@ pub fn parse_tolerance(raw: &str) -> Result<f64, String> {
 
 // ---------------------------------------------------------------------
 // Memory attribution: the `mem.json` / `MEM_BASELINE.json` schema and
-// the `mem_check` comparison logic
+// the comparison behind `bench_check`'s memory gate
 // ---------------------------------------------------------------------
 
 /// One domain's allocation budget for one benchmark row.

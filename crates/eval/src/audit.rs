@@ -1,30 +1,29 @@
-//! Audit-output plumbing shared by the experiment binaries, `run_all`,
-//! and the standalone `audit_report` binary.
+//! Run-health plumbing: the tail-inversion classification the
+//! selection experiments record, and the join that turns an observed
+//! run's manifests into `run_report.json`.
 //!
 //! The division of labour mirrors `telemetry.rs`: the *judgement* logic
-//! (what counts as drift, what counts as healthy) lives in `crp-audit`
-//! where it is unit-testable without files; this module owns the file
-//! layout. An observed run leaves two kinds of audit artifacts in the
-//! `--observe` directory, and this module joins them:
-//!
-//! * `<experiment>_drift.json` — a [`DriftTimeline`] from the
-//!   post-campaign drift scan (written by the auditing binaries through
-//!   [`crate::telemetry::write_artifact`]);
-//! * `<experiment>_provenance.json` — the drained
-//!   [`crp_core::explain::ExplainLog`] (written by the telemetry
-//!   session on drop);
-//! * `audit_report.json` in the *results* directory — the join of both
-//!   with the telemetry summary and bench baselines, plus the three
-//!   health verdicts ([`generate_report`]).
+//! (what counts as drift, what counts as healthy) lives in
+//! [`crp_audit::report`] where it is unit-testable without files; this
+//! module feeds it. [`run_report`] computes the four run-health verdicts
+//! over the runs [`crate::telemetry::load`] read back, and rolls the
+//! manifests up — combined summary, per-run time-series drops, firing
+//! alert rules, attributed allocation fractions, provenance counts,
+//! drift events — next to the caller's wall-clock rows and failures.
+//! The full sections stay in the manifests. The `report` binary and
+//! `run_all` both write the result to `<out>/run_report.json`
+//! ([`write_run_report`]).
 //!
 //! Everything here runs after the simulation has finished; nothing in
 //! this module can perturb experiment outputs.
 
 use crate::closest::ClientOutcome;
+use crate::telemetry::{ObservedRun, RunManifest};
 use crp_audit::drift::DriftTimeline;
-use crp_audit::report::{self, HealthVerdict, PerfOutcome};
-use crp_core::explain::{ExplainLog, InversionRecord};
-use serde::{Deserialize, Serialize, Value};
+use crp_audit::report::{self, HealthVerdict};
+use crp_core::explain::InversionRecord;
+use crp_telemetry::{TelemetrySummary, TimeSeriesExport};
+use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -39,9 +38,14 @@ pub const MAX_DRIFTED_FRACTION: f64 = 0.75;
 /// explanation for the `no-unexplained-tail-errors` verdict.
 pub const TAIL_TOLERANCE: f64 = 0.05;
 
-/// p50 regression tolerance for the `perf-within-baseline` verdict, in
-/// percent — matches the `bench_check` default gate.
-pub const PERF_TOLERANCE_PCT: f64 = 20.0;
+/// Sink drops tolerated by the `stream-matches-summary` verdict; past
+/// this the stream is too lossy to back the counter cross-check.
+pub const MAX_SINK_DROPPED: u64 = 100;
+
+/// Time-series points a run may lose, late or past the series cap,
+/// under the `timeseries-lossless` verdict: none. SimTime stamps are
+/// deterministic, so any lost point is an instrumentation bug.
+pub const MAX_LOST_POINTS: u64 = 0;
 
 /// Top-1 similarity below which a tail error counts as structurally
 /// explained: the score itself says the pick was a guess.
@@ -107,244 +111,197 @@ pub fn record_inversions(outcomes: &[ClientOutcome], candidates: usize) -> (u64,
     (total, unexplained)
 }
 
-/// Per-experiment provenance roll-up extracted from an
-/// `<experiment>_provenance.json` file.
-struct ProvenanceSummary {
-    experiment: String,
-    similarities: u64,
-    rankings: u64,
-    assignments: u64,
-    inversions: u64,
-    unexplained_inversions: u64,
-    dropped: u64,
+/// Wall-clock accounting for one completed experiment, measured by
+/// `run_all`.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct WallClock {
+    /// Experiment (binary) name.
+    pub experiment: String,
+    /// Wall-clock seconds from spawn to exit.
+    pub seconds: f64,
+    /// Peak resident set size, when the platform reports one.
+    pub peak_rss_bytes: Option<u64>,
 }
 
-impl ProvenanceSummary {
-    fn from_log(experiment: String, log: &ExplainLog) -> ProvenanceSummary {
-        ProvenanceSummary {
-            experiment,
-            similarities: log.similarities.len() as u64,
-            rankings: log.rankings.len() as u64,
-            assignments: log.assignments.len() as u64,
-            inversions: log.inversions.len() as u64,
-            unexplained_inversions: log.inversions.iter().filter(|i| !i.explained).count() as u64,
-            dropped: log.dropped(),
+/// Decision-provenance counts of one run.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct ProvenanceRollup {
+    /// Similarity records kept.
+    pub similarities: u64,
+    /// Ranking records kept.
+    pub rankings: u64,
+    /// SMF assignment records kept.
+    pub assignments: u64,
+    /// Tail-rank inversions recorded.
+    pub inversions: u64,
+    /// Inversions without a structural explanation.
+    pub unexplained_inversions: u64,
+    /// Records dropped past the log caps.
+    pub dropped: u64,
+}
+
+/// One run's roll-up; a field is `null` when the run lacks its section.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct ExperimentRollup {
+    /// Experiment (binary) name.
+    pub experiment: String,
+    /// Time-series points dropped as too late for their ring slot.
+    pub late_dropped: Option<u64>,
+    /// Time-series points dropped past the series cap.
+    pub series_dropped: Option<u64>,
+    /// Alert rules still firing at the end of the run.
+    pub firing: Vec<String>,
+    /// Share of allocations charged to named stages.
+    pub attributed_fraction: Option<f64>,
+    /// Decision-provenance counts.
+    pub provenance: Option<ProvenanceRollup>,
+}
+
+impl ExperimentRollup {
+    fn of(m: &RunManifest) -> ExperimentRollup {
+        ExperimentRollup {
+            experiment: m.experiment.clone(),
+            late_dropped: m.timeseries.as_ref().map(|t| t.late_dropped),
+            series_dropped: m.timeseries.as_ref().map(|t| t.series_dropped),
+            firing: m
+                .alerts
+                .iter()
+                .flat_map(|a| a.firing())
+                .map(str::to_owned)
+                .collect(),
+            attributed_fraction: m.mem.as_ref().map(|s| s.attributed_fraction()),
+            provenance: m.provenance.as_ref().map(|log| ProvenanceRollup {
+                similarities: log.similarities.len() as u64,
+                rankings: log.rankings.len() as u64,
+                assignments: log.assignments.len() as u64,
+                inversions: log.inversions.len() as u64,
+                unexplained_inversions: log.inversions.iter().filter(|i| !i.explained).count()
+                    as u64,
+                dropped: log.dropped(),
+            }),
         }
     }
-
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "experiment".to_owned(),
-                Value::String(self.experiment.clone()),
-            ),
-            ("similarities".to_owned(), Value::UInt(self.similarities)),
-            ("rankings".to_owned(), Value::UInt(self.rankings)),
-            ("assignments".to_owned(), Value::UInt(self.assignments)),
-            ("inversions".to_owned(), Value::UInt(self.inversions)),
-            (
-                "unexplained_inversions".to_owned(),
-                Value::UInt(self.unexplained_inversions),
-            ),
-            ("dropped".to_owned(), Value::UInt(self.dropped)),
-        ])
-    }
 }
 
-/// Reads every `<experiment><suffix>` file in `dir` as sorted
-/// `(experiment, raw value, typed value)` triples; the sort keeps the
-/// report byte-stable regardless of directory iteration order.
-fn artifacts<T: Deserialize>(dir: &Path, suffix: &str) -> Result<Vec<(String, Value, T)>, String> {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return Ok(Vec::new());
-    };
-    let mut found: Vec<(String, PathBuf)> = entries
-        .filter_map(|e| {
-            let path = e.ok()?.path();
-            let experiment = path.file_name()?.to_str()?.strip_suffix(suffix)?;
-            Some((experiment.to_owned(), path.clone()))
-        })
-        .collect();
-    found.sort();
-    found
-        .into_iter()
-        .map(|(experiment, path)| {
-            let raw = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            let value = serde_json::parse(&raw)
-                .map_err(|e| format!("{}: malformed: {e}", path.display()))?;
-            let typed = T::from_value(&value)
-                .map_err(|e| format!("{}: unexpected shape: {e}", path.display()))?;
-            Ok((experiment, value, typed))
-        })
-        .collect()
+/// The `run_report.json` schema: verdicts and roll-ups, no copies of
+/// the manifest sections.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct RunReport {
+    /// Every verdict passed and no experiment failed.
+    pub healthy: bool,
+    /// The four verdicts, in fixed order.
+    pub verdicts: Vec<HealthVerdict>,
+    /// Experiments that failed to run.
+    pub failed_experiments: Vec<String>,
+    /// Per-experiment wall clock and peak RSS.
+    pub wall_clock: Vec<WallClock>,
+    /// Every run's summary merged into one.
+    pub combined: TelemetrySummary,
+    /// Per-run roll-ups, sorted by experiment.
+    pub experiments: Vec<ExperimentRollup>,
+    /// Alert rules firing at the end of their run, across runs.
+    pub firing_total: u64,
+    /// The lowest attributed allocation fraction of any run.
+    pub attributed_fraction_min: Option<f64>,
+    /// Drift events across every drift timeline.
+    pub drift_event_count: u64,
 }
 
-/// Extracts `(name, p50_ns)` pairs from a bench report JSON value
-/// (`BenchReport` schema, parsed structurally so crp-eval needs no
-/// dependency on crp-bench, which depends on crp-eval).
-fn bench_medians(value: &Value) -> Vec<(String, u64)> {
-    let Ok(results) = value.field("results") else {
-        return Vec::new();
-    };
-    results
-        .as_array()
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|r| {
-            let name = match r.field("name").ok()? {
-                Value::String(s) => s.clone(),
-                _ => return None,
-            };
-            let p50 = match r.field("p50_ns").ok()? {
-                Value::UInt(n) => *n,
-                Value::Int(n) => u64::try_from(*n).ok()?,
-                _ => return None,
-            };
-            Some((name, p50))
-        })
-        .collect()
-}
-
-/// Diffs the newest `BENCH_<label>.json` baseline in the current
-/// directory against `<out_dir>/bench.json`, when both exist. Returns
-/// `None` (verdict: skipped) otherwise.
-fn perf_outcome(out_dir: &Path) -> Option<PerfOutcome> {
-    let mut baselines: Vec<PathBuf> = fs::read_dir(".")
-        .ok()?
-        .filter_map(|e| {
-            let path = e.ok()?.path();
-            let name = path.file_name()?.to_str()?;
-            (name.starts_with("BENCH_") && name.ends_with(".json")).then(|| path.clone())
-        })
-        .collect();
-    baselines.sort();
-    let baseline_path = baselines.pop()?;
-    let current_path = out_dir.join("bench.json");
-    let baseline = serde_json::parse(&fs::read_to_string(baseline_path).ok()?).ok()?;
-    let current = serde_json::parse(&fs::read_to_string(current_path).ok()?).ok()?;
-    let current_medians = bench_medians(&current);
-    let mut checked = 0u64;
-    let mut regressions = 0u64;
-    for (name, base_p50) in bench_medians(&baseline) {
-        let Some((_, cur_p50)) = current_medians.iter().find(|(n, _)| *n == name) else {
-            continue;
-        };
-        checked += 1;
-        if base_p50 == 0 {
-            continue;
-        }
-        let limit = base_p50 as f64 * (1.0 + PERF_TOLERANCE_PCT / 100.0);
-        if *cur_p50 as f64 > limit {
-            regressions += 1;
-        }
-    }
-    (checked > 0).then_some(PerfOutcome {
-        checked,
-        regressions,
-        tolerance_pct: PERF_TOLERANCE_PCT,
-    })
-}
-
-/// Pulls the `failed_experiments` list out of a parsed
-/// `telemetry_summary.json`, tolerating older summaries without the
-/// field.
-fn failed_experiments(summary: &Value) -> Vec<String> {
-    let Ok(list) = summary.field("failed_experiments") else {
-        return Vec::new();
-    };
-    list.as_array()
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|v| match v {
-            Value::String(s) => Some(s.clone()),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Joins every audit artifact in `observe_dir` with the telemetry summary
-/// and bench baselines under `out_dir` into
-/// `<out_dir>/audit_report.json`, and returns the health verdicts that
-/// went into it (all three always present, failed checks first kept in
-/// fixed order).
+/// Joins `runs` (as [`crate::telemetry::load`] read them) into a
+/// [`RunReport`]: the four verdicts — drift, tail errors, stream against
+/// summary, lossless time series — and the roll-ups. `wall_clock` and
+/// `failed_experiments` come from the caller: `run_all` supervised the
+/// runs, a standalone report passes none.
 ///
 /// # Errors
 ///
-/// Returns a message on malformed artifact files or an unwritable
-/// output directory; *missing* inputs are not errors — each section
-/// reports what it found and the corresponding verdict passes as
-/// skipped.
-pub fn generate_report(observe_dir: &Path, out_dir: &str) -> Result<Vec<HealthVerdict>, String> {
-    let drift = artifacts::<DriftTimeline>(observe_dir, "_drift.json")?;
-    let timelines: Vec<(String, DriftTimeline)> = drift
-        .iter()
-        .map(|(e, _, t)| (e.clone(), t.clone()))
+/// A manifest without a `summary` section: there is nothing to hold its
+/// stream against.
+pub fn run_report(
+    runs: &[ObservedRun],
+    wall_clock: Vec<WallClock>,
+    failed_experiments: Vec<String>,
+) -> Result<RunReport, String> {
+    let mut streams = Vec::with_capacity(runs.len());
+    for run in runs {
+        let m = &run.manifest;
+        let summary = m
+            .summary
+            .as_ref()
+            .ok_or_else(|| format!("manifest `{}` has no summary section", m.experiment))?;
+        streams.push((m.experiment.as_str(), &run.stream, summary));
+    }
+    let manifests = || runs.iter().map(|run| &run.manifest);
+    let timelines: Vec<(&str, &DriftTimeline)> = manifests()
+        .filter_map(|m| Some((m.experiment.as_str(), m.drift.as_ref()?)))
         .collect();
-    let drift_values: Vec<(String, Value)> = drift.into_iter().map(|(e, v, _)| (e, v)).collect();
-    let provenance: Vec<ProvenanceSummary> =
-        artifacts::<ExplainLog>(observe_dir, "_provenance.json")?
-            .into_iter()
-            .map(|(experiment, _, log)| ProvenanceSummary::from_log(experiment, &log))
-            .collect();
-
-    let out_path = Path::new(out_dir);
-    let telemetry_summary = fs::read_to_string(out_path.join("telemetry_summary.json"))
-        .ok()
-        .and_then(|raw| serde_json::parse(&raw).ok());
-    let failed = telemetry_summary
-        .as_ref()
-        .map(failed_experiments)
-        .unwrap_or_default();
-
-    let total_inversions: u64 = provenance.iter().map(|p| p.inversions).sum();
-    let unexplained: u64 = provenance.iter().map(|p| p.unexplained_inversions).sum();
-
+    let stores: Vec<(&str, &TimeSeriesExport)> = manifests()
+        .filter_map(|m| Some((m.experiment.as_str(), m.timeseries.as_ref()?)))
+        .collect();
+    let experiments: Vec<ExperimentRollup> = manifests().map(ExperimentRollup::of).collect();
+    let (inversions, unexplained) = experiments
+        .iter()
+        .filter_map(|e| e.provenance.as_ref())
+        .fold((0, 0), |(total, unexplained), p| {
+            (total + p.inversions, unexplained + p.unexplained_inversions)
+        });
     let verdicts = vec![
         report::drift_within_bounds(&timelines, MAX_DRIFTED_FRACTION),
-        report::no_unexplained_tail_errors(unexplained, total_inversions, TAIL_TOLERANCE),
-        report::perf_within_baseline(perf_outcome(out_path)),
+        report::no_unexplained_tail_errors(unexplained, inversions, TAIL_TOLERANCE),
+        report::stream_matches_summary(&streams, MAX_SINK_DROPPED),
+        report::timeseries_lossless(&stores, MAX_LOST_POINTS),
     ];
-    let healthy = verdicts.iter().all(|v| v.passed) && failed.is_empty();
+    let mut combined = TelemetrySummary {
+        experiment: "combined".to_owned(),
+        events_recorded: 0,
+        spans_recorded: 0,
+        sink_dropped: 0,
+        counters: Vec::new(),
+        gauges: Vec::new(),
+        histograms: Vec::new(),
+    };
+    for (_, _, summary) in &streams {
+        combined.merge(summary);
+    }
+    Ok(RunReport {
+        healthy: verdicts.iter().all(|v| v.passed) && failed_experiments.is_empty(),
+        verdicts,
+        failed_experiments,
+        wall_clock,
+        combined,
+        firing_total: experiments.iter().map(|e| e.firing.len() as u64).sum(),
+        attributed_fraction_min: experiments
+            .iter()
+            .filter_map(|e| e.attributed_fraction)
+            .min_by(f64::total_cmp),
+        drift_event_count: timelines.iter().map(|(_, t)| t.drift_event_count()).sum(),
+        experiments,
+    })
+}
 
-    let drift_events: u64 = timelines.iter().map(|(_, t)| t.drift_event_count()).sum();
-    let document = Value::Object(vec![
-        (
-            "audit_dir".to_owned(),
-            Value::String(observe_dir.display().to_string()),
-        ),
-        ("healthy".to_owned(), Value::Bool(healthy)),
-        (
-            "verdicts".to_owned(),
-            Value::Array(verdicts.iter().map(Serialize::to_value).collect()),
-        ),
-        ("drift_event_count".to_owned(), Value::UInt(drift_events)),
-        (
-            "drift".to_owned(),
-            Value::Object(drift_values.into_iter().collect()),
-        ),
-        (
-            "provenance".to_owned(),
-            Value::Array(provenance.iter().map(ProvenanceSummary::to_value).collect()),
-        ),
-        (
-            "failed_experiments".to_owned(),
-            Value::Array(failed.into_iter().map(Value::String).collect()),
-        ),
-    ]);
-    let json = serde_json::to_string(&document).map_err(|e| e.to_string())?;
-    fs::create_dir_all(out_path).map_err(|e| e.to_string())?;
-    let report_path = out_path.join("audit_report.json");
-    fs::write(&report_path, json + "\n").map_err(|e| e.to_string())?;
-    println!("  [wrote {}]", report_path.display());
-    Ok(verdicts)
+/// Writes `report` to `<out_dir>/run_report.json` and returns the path.
+///
+/// # Errors
+///
+/// An unwritable output directory or file.
+pub fn write_run_report(out_dir: &Path, report: &RunReport) -> Result<PathBuf, String> {
+    let json = serde_json::to_string(report).map_err(|e| e.to_string())?;
+    fs::create_dir_all(out_dir).map_err(|e| format!("{}: {e}", out_dir.display()))?;
+    let path = out_dir.join("run_report.json");
+    fs::write(&path, json + "\n").map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crp_audit::drift::{DriftWindow, RemapEvent};
+    use crp_audit::report::StreamCounts;
+    use crp_core::explain::ExplainLog;
+    use crp_telemetry::CounterEntry;
+    use std::collections::BTreeMap;
 
-    fn timeline() -> DriftTimeline {
+    fn timeline(drifted_fraction: f64) -> DriftTimeline {
         DriftTimeline {
             interval_ms: 3_600_000,
             l1_threshold: 0.5,
@@ -353,14 +310,14 @@ mod tests {
             windows: vec![DriftWindow {
                 from_ms: 0,
                 to_ms: 3_600_000,
-                hosts_compared: 4,
+                hosts_compared: 20,
                 mean_l1: 0.2,
                 max_l1: 0.8,
                 mean_cosine_distance: 0.1,
-                drifted_hosts: 1,
-                drifted_fraction: 0.25,
+                drifted_hosts: (drifted_fraction * 20.0) as u64,
+                drifted_fraction,
                 strongest_changed: 1,
-                strongest_changed_fraction: 0.25,
+                strongest_changed_fraction: 0.05,
                 cluster_distance: 0.0,
                 clusters_from: 2,
                 clusters_to: 2,
@@ -373,90 +330,233 @@ mod tests {
         }
     }
 
-    #[test]
-    fn report_joins_drift_and_provenance() {
-        let dir = std::env::temp_dir().join("crp-eval-audit-report-test");
-        let _ = fs::remove_dir_all(&dir);
-        let audit_dir = dir.join("audit");
-        let results = dir.join("results");
-        fs::create_dir_all(&audit_dir).expect("mkdir");
-
-        crate::telemetry::write_artifact(&audit_dir, "exp_a", "drift", &timeline());
-        let mut log = ExplainLog::default();
-        log.inversions.push(crp_core::explain::InversionRecord {
+    fn inversion(explained: bool) -> InversionRecord {
+        InversionRecord {
             client: "c1".to_owned(),
             selected: "r2".to_owned(),
             selected_rank: 4,
             optimal: "r0".to_owned(),
             top_score: 0.1,
-            explained: true,
-            reason: "no shared replicas".to_owned(),
-        });
-        let json = serde_json::to_string(&log).expect("serialize");
-        fs::write(audit_dir.join("exp_a_provenance.json"), json).expect("write");
+            explained,
+            reason: if explained { "no_signal" } else { "" }.to_owned(),
+        }
+    }
 
-        let verdicts =
-            generate_report(&audit_dir, results.to_str().expect("utf8")).expect("report");
-        assert_eq!(verdicts.len(), 3);
-        assert!(verdicts.iter().all(|v| v.passed), "{verdicts:?}");
-
-        let raw = fs::read_to_string(results.join("audit_report.json")).expect("report written");
-        let value = serde_json::parse(&raw).expect("valid json");
-        assert_eq!(value.field("healthy"), Ok(&Value::Bool(true)));
-        let drift = value.field("drift").expect("drift section");
-        assert!(drift.field("exp_a").is_ok());
-        assert!(
-            matches!(
-                value.field("drift_event_count"),
-                Ok(Value::UInt(n)) if *n >= 1
-            ) || matches!(
-                value.field("drift_event_count"),
-                Ok(Value::Int(n)) if *n >= 1
-            )
-        );
-        let prov = value.field("provenance").expect("provenance section");
-        let entries = prov.as_array().expect("array");
-        assert_eq!(entries.len(), 1);
-        assert!(
-            matches!(
-                entries[0].field("inversions"),
-                Ok(Value::UInt(1) | Value::Int(1))
-            ),
-            "{entries:?}"
-        );
-        let _ = fs::remove_dir_all(&dir);
+    /// A run every verdict passes on, each at its edge: drifted fraction
+    /// 0.75 of bound 0.75, 1 of 20 inversions (5%) unexplained, no late
+    /// points, a stream that matches its summary exactly.
+    fn healthy_run(experiment: &str) -> ObservedRun {
+        let provenance = ExplainLog {
+            inversions: (0..20).map(|i| inversion(i > 0)).collect(),
+            ..ExplainLog::default()
+        };
+        ObservedRun {
+            manifest: RunManifest {
+                experiment: experiment.to_owned(),
+                summary: Some(TelemetrySummary {
+                    experiment: experiment.to_owned(),
+                    events_recorded: 4,
+                    spans_recorded: 1,
+                    sink_dropped: 0,
+                    counters: vec![CounterEntry {
+                        name: "event.tick".to_owned(),
+                        value: 4,
+                    }],
+                    gauges: Vec::new(),
+                    histograms: Vec::new(),
+                }),
+                provenance: Some(provenance),
+                timeseries: Some(TimeSeriesExport {
+                    bounds: Vec::new(),
+                    tiers: Vec::new(),
+                    late_dropped: 0,
+                    series_dropped: 0,
+                    series: Vec::new(),
+                }),
+                alerts: None,
+                traces: None,
+                mem: None,
+                drift: Some(timeline(MAX_DRIFTED_FRACTION)),
+                detect: None,
+            },
+            stream: Ok(StreamCounts {
+                records: 6,
+                events: 4,
+                spans: 1,
+                per_name: BTreeMap::from([("tick".to_owned(), 4)]),
+            }),
+        }
     }
 
     #[test]
-    fn empty_audit_dir_yields_skipped_but_passing_report() {
-        let dir = std::env::temp_dir().join("crp-eval-audit-empty-test");
-        let _ = fs::remove_dir_all(&dir);
-        let audit_dir = dir.join("audit");
-        let results = dir.join("results");
-        fs::create_dir_all(&audit_dir).expect("mkdir");
-        let verdicts =
-            generate_report(&audit_dir, results.to_str().expect("utf8")).expect("report");
-        assert!(verdicts.iter().all(|v| v.passed), "{verdicts:?}");
-        assert!(verdicts
-            .iter()
-            .filter(|v| v.name != "perf-within-baseline")
-            .all(|v| v.detail.starts_with("skipped")));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_medians_parse_the_report_schema() {
-        let raw = r#"{"label":"t","quick":false,"results":[
-            {"name":"a/one","p50_ns":120},
-            {"name":"b/two","p50_ns":7}
-        ]}"#;
-        let value = serde_json::parse(raw).expect("valid");
-        let medians = bench_medians(&value);
+    fn each_verdict_passes_its_healthy_fixture_and_fails_its_broken_one() {
+        let healthy = run_report(&[healthy_run("exp")], Vec::new(), Vec::new()).expect("joins");
+        assert!(healthy.healthy, "{:?}", healthy.verdicts);
+        let names: Vec<&str> = healthy.verdicts.iter().map(|v| v.name.as_str()).collect();
         assert_eq!(
-            medians,
-            vec![("a/one".to_owned(), 120), ("b/two".to_owned(), 7)]
+            names,
+            [
+                "drift-within-bounds",
+                "no-unexplained-tail-errors",
+                "stream-matches-summary",
+                "timeseries-lossless"
+            ]
         );
-        assert!(bench_medians(&Value::Null).is_empty());
+        assert!(healthy
+            .verdicts
+            .iter()
+            .all(|v| !v.detail.starts_with("skipped")));
+
+        type Breakage = fn(&mut ObservedRun);
+        let broken: [(&str, Breakage, &str); 5] = [
+            (
+                "stream-matches-summary",
+                |run| {
+                    if let Ok(counts) = &mut run.stream {
+                        counts.per_name.insert("tick".to_owned(), 3);
+                    }
+                },
+                "counter `event.tick` is Some(4), stream has 3 `tick` events",
+            ),
+            (
+                "stream-matches-summary",
+                |run| {
+                    if let Some(summary) = &mut run.manifest.summary {
+                        summary.sink_dropped = MAX_SINK_DROPPED + 1;
+                    }
+                },
+                "sink dropped 101 record(s), above the limit of 100",
+            ),
+            (
+                "timeseries-lossless",
+                |run| {
+                    if let Some(store) = &mut run.manifest.timeseries {
+                        store.late_dropped = 1;
+                    }
+                },
+                "exp lost 1 point(s) (1 late, 0 series at capacity)",
+            ),
+            (
+                "drift-within-bounds",
+                |run| run.manifest.drift = Some(timeline(0.76)),
+                "max drifted fraction 0.760 (bound 0.750) in exp",
+            ),
+            (
+                "no-unexplained-tail-errors",
+                |run| {
+                    if let Some(log) = &mut run.manifest.provenance {
+                        log.inversions[1].explained = false;
+                    }
+                },
+                "2/20 inversions unexplained (10.0%, tolerance 5.0%)",
+            ),
+        ];
+        for (name, breakage, expected) in broken {
+            let mut run = healthy_run("exp");
+            breakage(&mut run);
+            let report = run_report(&[run], Vec::new(), Vec::new()).expect("joins");
+            let v = report
+                .verdicts
+                .iter()
+                .find(|v| v.name == name)
+                .expect("verdict");
+            assert!(!v.passed, "{v:?}");
+            assert!(v.detail.contains(expected), "{v:?}");
+            assert!(!report.healthy);
+            let others_pass = report
+                .verdicts
+                .iter()
+                .filter(|o| o.name != name)
+                .all(|o| o.passed);
+            assert!(
+                others_pass,
+                "only {name} should fail: {:?}",
+                report.verdicts
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_experiment_forces_an_unhealthy_report() {
+        let report =
+            run_report(&[healthy_run("exp")], Vec::new(), vec!["fig9".to_owned()]).expect("joins");
+        assert!(report.verdicts.iter().all(|v| v.passed));
+        assert!(!report.healthy);
+    }
+
+    #[test]
+    fn a_manifest_without_summary_is_malformed() {
+        let mut run = healthy_run("exp");
+        run.manifest.summary = None;
+        let err = run_report(&[run], Vec::new(), Vec::new()).expect_err("malformed");
+        assert_eq!(err, "manifest `exp` has no summary section");
+    }
+
+    #[test]
+    fn no_runs_yield_skipped_verdicts_and_the_caller_rows() {
+        let wall_clock = vec![WallClock {
+            experiment: "fig4".to_owned(),
+            seconds: 1.5,
+            peak_rss_bytes: None,
+        }];
+        let report = run_report(&[], wall_clock.clone(), Vec::new()).expect("joins");
+        assert!(report.healthy);
+        assert!(report
+            .verdicts
+            .iter()
+            .all(|v| v.detail.starts_with("skipped")));
+        assert_eq!(report.wall_clock, wall_clock);
+        assert_eq!(report.attributed_fraction_min, None);
+    }
+
+    #[test]
+    fn run_report_rolls_up_and_round_trips_through_its_file() {
+        let mut b = healthy_run("b");
+        // An empty snapshot attributes everything it saw: nothing.
+        b.manifest.mem = Some(crp_telemetry::MemSnapshot {
+            domains: Vec::new(),
+        });
+        let runs = [healthy_run("a"), b];
+        let report = run_report(&runs, Vec::new(), vec!["c".to_owned()]).expect("joins");
+        assert_eq!(report.combined.counter("event.tick"), Some(8));
+        assert_eq!(report.combined.experiment, "combined");
+        assert_eq!(
+            report.drift_event_count, 4,
+            "one drifted window + one remap, twice"
+        );
+        assert_eq!(report.attributed_fraction_min, Some(1.0));
+        let rollup = &report.experiments[1];
+        assert_eq!(rollup.experiment, "b");
+        assert_eq!(rollup.late_dropped, Some(0));
+        assert_eq!(
+            rollup
+                .provenance
+                .as_ref()
+                .map(|p| (p.inversions, p.unexplained_inversions)),
+            Some((20, 1))
+        );
+
+        let dir = std::env::temp_dir().join("crp-eval-run-report-test");
+        let _ = fs::remove_dir_all(&dir);
+        let path = write_run_report(&dir, &report).expect("written");
+        assert_eq!(path, dir.join("run_report.json"));
+        let raw = fs::read_to_string(&path).expect("readable");
+        let back: RunReport = serde_json::from_str(&raw).expect("a RunReport");
+        assert_eq!(back, report);
+        assert_eq!(back.verdicts.len(), 4);
+        for v in &back.verdicts {
+            assert!(!v.detail.is_empty(), "verdict `{}` has no detail", v.name);
+        }
+        let all_passed = back.verdicts.iter().all(|v| v.passed);
+        assert_eq!(
+            back.healthy,
+            all_passed && back.failed_experiments.is_empty()
+        );
+        assert!(
+            !back.healthy,
+            "the failed experiment `c` makes the run unhealthy"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Mints `HostId`s without a full scenario, via a scratch network.
@@ -510,13 +610,5 @@ mod tests {
         let inv = inversion_for(&outcome(200, 0.9, true, 80.0), 240).expect("tail");
         assert!(!inv.explained);
         assert_eq!(inv.selected_rank, 200);
-    }
-
-    #[test]
-    fn failed_experiments_tolerates_missing_field() {
-        let with = serde_json::parse(r#"{"failed_experiments":["fig4","fig9"]}"#).expect("valid");
-        assert_eq!(failed_experiments(&with), ["fig4", "fig9"]);
-        let without = serde_json::parse(r#"{"experiments":[]}"#).expect("valid");
-        assert!(failed_experiments(&without).is_empty());
     }
 }

@@ -33,7 +33,7 @@ fn rand_index(a: &Clustering<HostId>, b: &Clustering<HostId>, nodes: &[HostId]) 
 
 fn main() {
     let args = EvalArgs::parse();
-    let telemetry = crp_eval::telemetry::session(&args, "ablation_cluster_stability");
+    let mut telemetry = crp_eval::telemetry::session(&args, "ablation_cluster_stability");
     let scenario = Scenario::build(ScenarioConfig {
         seed: args.seed,
         candidate_servers: 0,
@@ -111,7 +111,7 @@ fn main() {
     // history — this is the run that exercises CDN remap detection, so
     // it scans the whole horizon at route-epoch granularity with the
     // clustering diff enabled.
-    if let Some(dir) = telemetry.observe_dir() {
+    if telemetry.observing() {
         let drift_cfg = crp_audit::drift::DriftConfig::new(
             SimTime::from_hours(2),
             horizon,
@@ -132,6 +132,6 @@ fn main() {
             ("remap events", timeline.remap_events.len().to_string()),
             ("drift events", timeline.drift_event_count().to_string()),
         ]);
-        crp_eval::telemetry::write_artifact(dir, "ablation_cluster_stability", "drift", &timeline);
+        telemetry.set_drift(timeline);
     }
 }

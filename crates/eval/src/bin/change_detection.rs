@@ -9,7 +9,8 @@
 //! every detection against the ground-truth event log. Emits detection
 //! latency, precision/recall, false-alarm rate, and per-event ratio-map
 //! re-convergence times to `results/change_detection.json` (plus a CSV
-//! table), and the raw detection report into the `--observe` directory.
+//! table), and the raw detection report into the run manifest under
+//! `--observe`.
 
 use crp::{Scenario, ScenarioConfig};
 use crp_audit::detect::{DetectConfig, DetectionReport};
@@ -25,7 +26,7 @@ use std::path::Path;
 
 fn main() {
     let args = EvalArgs::parse();
-    let telemetry = crp_eval::telemetry::session(&args, "change_detection");
+    let mut telemetry = crp_eval::telemetry::session(&args, "change_detection");
     let horizon = SimTime::from_hours(args.hours.unwrap_or(24));
     let script = EventScript::standard_suite(horizon);
     let scripted = script.events().len();
@@ -145,10 +146,10 @@ fn main() {
     );
     write_json(&args.out_dir, &args, &eval, &report);
 
-    // Observer artifact: the raw window stream and change list, for
+    // Observer section: the raw window stream and change list, for
     // post-hoc inspection next to the drift timelines.
-    if let Some(dir) = telemetry.observe_dir() {
-        crp_eval::telemetry::write_artifact(dir, "change_detection", "detect", &report);
+    if telemetry.observing() {
+        telemetry.set_detect(report);
     }
 }
 

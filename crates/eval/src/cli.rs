@@ -23,8 +23,9 @@ pub struct EvalArgs {
     /// Observe directory: arms every SimTime-side observer (metrics
     /// and record stream, decision provenance and drift scans, time
     /// series, causal traces and alerts, allocation attribution) and
-    /// writes each artifact there as `<dir>/<experiment>[_<kind>].json`
-    /// (see [`crate::telemetry`]). `None` leaves them all disarmed.
+    /// writes `<dir>/<experiment>.jsonl` and
+    /// `<dir>/<experiment>_manifest.json` (see [`crate::telemetry`]).
+    /// `None` leaves them all disarmed.
     pub observe: Option<String>,
     /// Wall-clock profile output directory; `None` leaves profiling
     /// disabled. Kept apart from `observe` so the profile never times

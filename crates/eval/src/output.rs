@@ -18,6 +18,23 @@ pub fn kv(rows: &[(&str, String)]) {
     }
 }
 
+/// Renders a report into `out` and flushes it. A reader that stops
+/// early (`report <dir> | head`) closes the pipe; that ends the output,
+/// not the program, so `BrokenPipe` counts as success.
+///
+/// # Errors
+///
+/// Any other error from `render` or the flush.
+pub fn emit<W: io::Write>(
+    out: &mut W,
+    render: impl FnOnce(&mut W) -> io::Result<()>,
+) -> io::Result<()> {
+    match render(out).and_then(|()| out.flush()) {
+        Err(err) if err.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        result => result,
+    }
+}
+
 /// Writes a CSV file under `out_dir`, creating the directory as needed.
 /// Returns the path written.
 ///
@@ -185,6 +202,31 @@ mod tests {
     fn sorted_series_drops_non_finite() {
         let v = vec![2.0, f64::INFINITY, 1.0, f64::NAN];
         assert_eq!(sorted_series(&v), vec![1.0, 2.0]);
+    }
+
+    /// A writer whose reader went away, or that fails some other way.
+    struct FailingWriter(io::ErrorKind);
+
+    impl io::Write for FailingWriter {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_ends_the_report_without_an_error() {
+        let render = |out: &mut FailingWriter| writeln!(out, "live report: exp");
+        let closed = emit(&mut FailingWriter(io::ErrorKind::BrokenPipe), render);
+        assert!(closed.is_ok(), "{closed:?}");
+        let denied = emit(&mut FailingWriter(io::ErrorKind::PermissionDenied), render);
+        assert_eq!(
+            denied.map_err(|e| e.kind()),
+            Err(io::ErrorKind::PermissionDenied)
+        );
     }
 
     #[test]

@@ -1,29 +1,32 @@
-//! Observer wiring shared by the experiment binaries.
+//! Observer wiring shared by the experiment binaries, and the one
+//! reader of what they leave behind.
 //!
 //! Each binary calls [`session`] right after parsing its flags. With
 //! `--observe <dir>` the session arms every SimTime-side observer layer
-//! (see [`crp_telemetry::stage`]) for the whole run, and when the
-//! returned [`TelemetrySession`] drops at the end of `main` it writes
-//! each layer's artifact into that one directory:
+//! (see [`crp_telemetry::stage`]) for the whole run, and two files land
+//! in that one directory:
 //!
-//! - `<experiment>.jsonl` and `<experiment>_summary.json`: the record
-//!   stream and the aggregated
-//!   [`TelemetrySummary`](crp_telemetry::TelemetrySummary);
-//! - `<experiment>_provenance.json`: the [`crp_core::explain`] decision
-//!   provenance log;
-//! - `<experiment>_timeseries.json`, `<experiment>_alerts.json` and
-//!   `<experiment>_traces.json`: the SimTime
+//! - `<experiment>.jsonl`: the record stream, written as the run goes;
+//! - `<experiment>_manifest.json`: one [`RunManifest`], written when the
+//!   returned [`TelemetrySession`] drops at the end of `main`. Each
+//!   layer is one optional section of it: `summary` (the aggregated
+//!   [`TelemetrySummary`]), `provenance` (the [`crp_core::explain`]
+//!   decision log), `timeseries`, `alerts` and `traces` (the SimTime
 //!   [time-series store](crp_telemetry::timeseries), the
 //!   [SLO alert engine](crp_telemetry::alert) replayed over it, and the
-//!   sampled [causal traces](crp_telemetry::trace);
-//! - `<experiment>_mem.json`: the per-stage
-//!   [allocation attribution](crp_telemetry::mem) snapshot.
+//!   sampled [causal traces](crp_telemetry::trace)), `mem` (the
+//!   per-stage [allocation attribution](crp_telemetry::mem) snapshot),
+//!   and `drift` or `detect`, the drift timeline or change-detection
+//!   report an auditing binary hands over with
+//!   [`TelemetrySession::set_drift`] / [`TelemetrySession::set_detect`].
 //!
-//! Auditing binaries add their drift timelines and detection reports to
-//! the same directory through [`TelemetrySession::observe_dir`]. Every
-//! layer is a pure observer keyed on simulated time or wall-clock-side
-//! allocator traffic, so arming them never changes experiment outputs
-//! (`tests/telemetry_determinism.rs` proves it byte for byte).
+//! [`load`] reads a directory back, manifests and streams together, and
+//! [`dashboard`] renders one run's live sections; the `report` binary
+//! and `run_all` join the loaded runs with [`crate::audit::run_report`].
+//! Every layer is a pure observer keyed on simulated time or
+//! wall-clock-side allocator traffic, so arming them never changes
+//! experiment outputs (`tests/telemetry_determinism.rs` proves it byte
+//! for byte), and a seeded run writes a byte-identical manifest.
 //!
 //! `--profile <dir>` starts the wall-clock profiler
 //! ([`crp_telemetry::profile`]) and writes
@@ -34,47 +37,73 @@
 //! across the workspace stays on its one-branch disabled path.
 
 use crate::EvalArgs;
-use crp_telemetry::JsonlSink;
-use crp_telemetry::{alert, timeseries, trace};
+use crp_audit::detect::DetectionReport;
+use crp_audit::drift::DriftTimeline;
+use crp_audit::report::StreamCounts;
+use crp_core::explain::ExplainLog;
+use crp_telemetry::alert::{self, AlertLog};
+use crp_telemetry::timeseries::{self, TimeSeriesExport};
+use crp_telemetry::trace::{self, TraceLog};
+use crp_telemetry::{JsonlSink, MemSnapshot, TelemetrySummary};
+use serde::{Deserialize, Serialize, Value};
 use std::fs;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Keeps the armed observers alive for one run; see [`session`].
 ///
 /// Dropping the session finalizes the run: it tears down every armed
-/// layer and writes its artifact.
+/// layer and writes the run's manifest.
 #[must_use = "bind to a variable that lives until the end of main"]
 pub struct TelemetrySession {
     observe_dir: Option<PathBuf>,
     profile_dir: Option<PathBuf>,
     experiment: &'static str,
+    drift: Option<DriftTimeline>,
+    detect: Option<DetectionReport>,
 }
 
 impl TelemetrySession {
-    /// The observe directory, when `--observe` was given.
-    pub fn observe_dir(&self) -> Option<&Path> {
-        self.observe_dir.as_deref()
+    /// Whether `--observe` armed the observers; auditing passes run
+    /// only then.
+    pub fn observing(&self) -> bool {
+        self.observe_dir.is_some()
+    }
+
+    /// Hands the run's drift timeline to the manifest.
+    pub fn set_drift(&mut self, timeline: DriftTimeline) {
+        self.drift = Some(timeline);
+    }
+
+    /// Hands the run's change-detection report to the manifest.
+    pub fn set_detect(&mut self, report: DetectionReport) {
+        self.detect = Some(report);
+    }
+}
+
+/// Installs the JSONL sink at `path`. A sink failure (unwritable
+/// directory) degrades to metrics-only collection with a warning rather
+/// than aborting the experiment.
+fn install_sink(path: &Path) {
+    match JsonlSink::create(path) {
+        Ok(sink) => crp_telemetry::install(Box::new(sink)),
+        Err(err) => {
+            eprintln!(
+                "[telemetry] cannot create {}: {err}; collecting metrics only",
+                path.display()
+            );
+            crp_telemetry::install_metrics_only();
+        }
     }
 }
 
 /// Arms the observers `args` asks for, for `experiment`.
-///
-/// A sink failure (unwritable directory) degrades to metrics-only
-/// collection with a warning rather than aborting the experiment.
 pub fn session(args: &EvalArgs, experiment: &'static str) -> TelemetrySession {
     let observe_dir = args.observe.as_ref().map(PathBuf::from);
     if let Some(dir) = &observe_dir {
-        let path = dir.join(format!("{experiment}.jsonl"));
-        match JsonlSink::create(&path) {
-            Ok(sink) => crp_telemetry::install(Box::new(sink)),
-            Err(err) => {
-                eprintln!(
-                    "[telemetry] cannot create {}: {err}; collecting metrics only",
-                    path.display()
-                );
-                crp_telemetry::install_metrics_only();
-            }
-        }
+        // The sink path is freed before attribution starts, so the
+        // manifest does not depend on where the run writes it.
+        install_sink(&dir.join(format!("{experiment}.jsonl")));
         crp_core::explain::start();
         timeseries::start(timeseries::TimeSeriesConfig::default());
         trace::start(trace::TraceConfig::default());
@@ -88,19 +117,49 @@ pub fn session(args: &EvalArgs, experiment: &'static str) -> TelemetrySession {
         observe_dir,
         profile_dir,
         experiment,
+        drift: None,
+        detect: None,
     }
 }
 
-/// Writes `value` as JSON to `<dir>/<experiment>_<kind>.json` and
-/// prints the path. Failures degrade to a warning: an observer artifact
-/// must never abort an experiment.
-pub fn write_artifact<T: serde::Serialize>(dir: &Path, experiment: &str, kind: &str, value: &T) {
-    let path = dir.join(format!("{experiment}_{kind}.json"));
-    let write = || -> std::io::Result<()> {
+/// Everything one observed run recorded: the `<experiment>_manifest.json`
+/// schema. A section is `null` when its layer did not run.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct RunManifest {
+    /// Experiment (binary) name.
+    pub experiment: String,
+    /// Counters, gauges and histograms aggregated over the run.
+    pub summary: Option<TelemetrySummary>,
+    /// Decision provenance: similarities, rankings, assignments and
+    /// classified rank inversions.
+    pub provenance: Option<ExplainLog>,
+    /// The SimTime time-series store.
+    pub timeseries: Option<TimeSeriesExport>,
+    /// The SLO alert rules replayed over the time series.
+    pub alerts: Option<AlertLog>,
+    /// Sampled causal traces.
+    pub traces: Option<TraceLog>,
+    /// Per-stage allocation attribution.
+    pub mem: Option<MemSnapshot>,
+    /// Post-campaign drift and churn scan.
+    pub drift: Option<DriftTimeline>,
+    /// Change-detection scan over the recorded history.
+    pub detect: Option<DetectionReport>,
+}
+
+const MANIFEST_SUFFIX: &str = "_manifest.json";
+
+/// Writes `value` as one line of JSON to `path` and prints the path.
+/// Failures degrade to a warning: an observer artifact must never abort
+/// an experiment.
+fn write_json<T: Serialize>(path: &Path, value: &T) {
+    let write = || -> io::Result<()> {
         let json = serde_json::to_string(value)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        fs::create_dir_all(dir)?;
-        fs::write(&path, json + "\n")
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir)?;
+        }
+        fs::write(path, json + "\n")
     };
     match write() {
         Ok(()) => println!("  [wrote {}]", path.display()),
@@ -118,43 +177,277 @@ impl Drop for TelemetrySession {
         let store = timeseries::finish();
         let traces = trace::finish();
         if let (Some(dir), Some(tree)) = (&self.profile_dir, crp_telemetry::profile::finish()) {
-            write_artifact(dir, self.experiment, "profile", &tree);
+            write_json(
+                &dir.join(format!("{}_profile.json", self.experiment)),
+                &tree,
+            );
         }
         let Some(dir) = &self.observe_dir else {
             return;
         };
-        let exp = self.experiment;
-        if let Some(summary) = &summary {
-            write_artifact(dir, exp, "summary", summary);
+        // The alert engine replays the completed windows, so it runs
+        // after every instrumented call site has gone quiet.
+        let alerts = store
+            .as_ref()
+            .map(|store| alert::AlertEngine::new(alert::default_rules()).evaluate(store));
+        for name in alerts.iter().flat_map(AlertLog::firing) {
+            eprintln!("[live] ALERT firing at end of run: {name}");
         }
-        if let Some(log) = &provenance {
-            write_artifact(dir, exp, "provenance", log);
-        }
-        if let Some(store) = &store {
-            write_artifact(dir, exp, "timeseries", &store.export());
-            // The alert engine replays the completed windows, so it runs
-            // after every instrumented call site has gone quiet.
-            let alerts = alert::AlertEngine::new(alert::default_rules()).evaluate(store);
-            for name in alerts.firing() {
-                eprintln!("[live] ALERT firing at end of run: {name}");
+        let manifest = RunManifest {
+            experiment: self.experiment.to_owned(),
+            summary,
+            provenance,
+            timeseries: store.as_ref().map(|store| store.export()),
+            alerts,
+            traces,
+            mem,
+            drift: self.drift.take(),
+            detect: self.detect.take(),
+        };
+        let path = dir.join(format!("{}{MANIFEST_SUFFIX}", self.experiment));
+        write_json(&path, &manifest);
+    }
+}
+
+/// One observed run read back from an observe directory: its manifest
+/// and the walk over its record stream.
+#[derive(Debug)]
+pub struct ObservedRun {
+    /// The run's `<experiment>_manifest.json`.
+    pub manifest: RunManifest,
+    /// What the `<experiment>.jsonl` walk counted, or why it failed.
+    pub stream: Result<StreamCounts, String>,
+}
+
+/// Reads every `<experiment>_manifest.json` in `dir` together with its
+/// `<experiment>.jsonl` stream, sorted by experiment so the joined
+/// report is byte-stable regardless of directory order. A stream that
+/// cannot be read or walked is recorded on the run, not returned as an
+/// error: it fails the stream verdict, it does not void the report.
+///
+/// # Errors
+///
+/// An unreadable directory, or a malformed manifest: bad JSON, a wrong
+/// shape, or an `experiment` field that disagrees with its file name.
+pub fn load(dir: &Path) -> Result<Vec<ObservedRun>, String> {
+    let entries = fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let mut found: Vec<(String, PathBuf)> = entries
+        .filter_map(|entry| {
+            let path = entry.ok()?.path();
+            let name = path.file_name()?.to_str()?;
+            let experiment = name.strip_suffix(MANIFEST_SUFFIX)?.to_owned();
+            Some((experiment, path))
+        })
+        .collect();
+    found.sort();
+    found
+        .into_iter()
+        .map(|(experiment, path)| {
+            let raw = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+            let manifest: RunManifest = serde_json::from_str(&raw)
+                .map_err(|e| format!("{}: malformed manifest: {e}", path.display()))?;
+            if manifest.experiment != experiment {
+                return Err(format!(
+                    "{}: manifest names experiment `{}`",
+                    path.display(),
+                    manifest.experiment
+                ));
             }
-            write_artifact(dir, exp, "alerts", &alerts);
-        }
-        if let Some(traces) = &traces {
-            write_artifact(dir, exp, "traces", traces);
-        }
-        if let Some(mem) = &mem {
-            write_artifact(dir, exp, "mem", mem);
+            let stream = walk_stream(&dir.join(format!("{experiment}.jsonl")));
+            Ok(ObservedRun { manifest, stream })
+        })
+        .collect()
+}
+
+fn str_field(value: &Value, name: &str) -> Result<String, serde::Error> {
+    match value.field(name)? {
+        Value::String(s) => Ok(s.clone()),
+        other => Err(serde::Error::custom(format!(
+            "field `{name}` is not a string: {other:?}"
+        ))),
+    }
+}
+
+/// Counts a JSONL record stream: lines, events per name and completed
+/// spans. `Err` on an unreadable file, a malformed line or an unknown
+/// record kind.
+fn walk_stream(path: &Path) -> Result<StreamCounts, String> {
+    let raw = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let mut counts = StreamCounts::default();
+    for (i, line) in raw.lines().enumerate() {
+        let at = |e: &dyn std::fmt::Display| format!("{}:{}: {e}", path.display(), i + 1);
+        let value = serde_json::parse(line).map_err(|e| at(&format!("malformed JSONL: {e}")))?;
+        counts.records += 1;
+        match str_field(&value, "kind").map_err(|e| at(&e))?.as_str() {
+            "event" => {
+                counts.events += 1;
+                let name = str_field(&value, "name").map_err(|e| at(&e))?;
+                *counts.per_name.entry(name).or_insert(0) += 1;
+            }
+            "span_end" => counts.spans += 1,
+            "span_start" => {}
+            other => return Err(at(&format!("unknown record kind `{other}`"))),
         }
     }
+    Ok(counts)
+}
+
+fn hours(ms: u64) -> f64 {
+    ms as f64 / 3_600_000.0
+}
+
+/// Sampled traces whose full span trees the dashboard prints; the rest
+/// stay in the manifest for targeted queries.
+const TRACES_SHOWN: usize = 3;
+
+/// Renders `manifest`'s live sections the way an on-call engineer wants
+/// to see a run: per-metric aggregates with tail quantiles, the alert
+/// rules with their firing history, and the first sampled causal traces
+/// with full span trees. Renders nothing unless the run recorded time
+/// series, alerts and traces.
+///
+/// # Errors
+///
+/// Any error writing to `out`.
+pub fn dashboard(out: &mut impl Write, manifest: &RunManifest) -> io::Result<()> {
+    let (Some(ts), Some(alerts), Some(traces)) =
+        (&manifest.timeseries, &manifest.alerts, &manifest.traces)
+    else {
+        return Ok(());
+    };
+    writeln!(out, "live report: {}", manifest.experiment)?;
+    writeln!(out)?;
+    writeln!(out, "== time series ==")?;
+    writeln!(
+        out,
+        "{:<34} {:>8} {:>9} {:>9} {:>9} {:>9}  windows",
+        "metric", "count", "mean", "p50", "p99", "max"
+    )?;
+    for series in &ts.series {
+        let t = &series.total;
+        let mean = if t.count > 0 {
+            t.sum / t.count as f64
+        } else {
+            0.0
+        };
+        let p50 = t.quantile(&ts.bounds, 0.50).unwrap_or(0.0);
+        let p99 = t.quantile(&ts.bounds, 0.99).unwrap_or(0.0);
+        let widths: Vec<String> = series
+            .tiers
+            .iter()
+            .map(|tier| format!("{}@{}s", tier.windows.len(), tier.window_ms / 1000))
+            .collect();
+        writeln!(
+            out,
+            "{:<34} {:>8} {:>9.2} {:>9.2} {:>9.2} {:>9.2}  {}",
+            series.name,
+            t.count,
+            mean,
+            p50,
+            p99,
+            t.max,
+            widths.join(" ")
+        )?;
+    }
+    if ts.late_dropped > 0 || ts.series_dropped > 0 {
+        writeln!(
+            out,
+            "dropped: {} late samples, {} past the series cap",
+            ts.late_dropped, ts.series_dropped
+        )?;
+    }
+
+    writeln!(out)?;
+    writeln!(out, "== alerts ==")?;
+    for outcome in &alerts.rules {
+        let fired = outcome
+            .transitions
+            .iter()
+            .filter(|t| t.state == "firing")
+            .count();
+        writeln!(
+            out,
+            "{:<24} {:>9}  breached {}/{} windows, fired {} time(s)",
+            outcome.rule.name,
+            outcome.final_state,
+            outcome.breached_windows,
+            outcome.evaluated_windows,
+            fired
+        )?;
+        for t in &outcome.transitions {
+            writeln!(
+                out,
+                "    {:>8.2}h  {:<8}  value {:.3}",
+                hours(t.at_ms),
+                t.state,
+                t.value
+            )?;
+        }
+    }
+
+    writeln!(out)?;
+    writeln!(out, "== causal traces ==")?;
+    writeln!(
+        out,
+        "minted {}, sampled {} (1 in {}), dropped {}",
+        traces.minted, traces.sampled, traces.sample_one_in, traces.dropped_traces
+    )?;
+    // Exemplars connect the tail back to the traces: list each top-
+    // bucket exemplar of the ingest-latency series that we can expand.
+    if let Some(series) = ts.series("cdn.best_candidate_ms") {
+        for ex in &series.total.exemplars {
+            let reachable = traces.trace(&ex.trace).is_some();
+            writeln!(
+                out,
+                "exemplar bucket {} -> trace {} ({})",
+                ex.bucket,
+                ex.trace,
+                if reachable { "sampled" } else { "unsampled" }
+            )?;
+        }
+    }
+    for tree in traces.traces.iter().take(TRACES_SHOWN) {
+        let dropped = if tree.dropped_spans > 0 {
+            format!(", {} dropped", tree.dropped_spans)
+        } else {
+            String::new()
+        };
+        writeln!(
+            out,
+            "trace {} (start {:.2}h, {} span(s){dropped})",
+            tree.id,
+            hours(tree.start_ms),
+            tree.spans.len(),
+        )?;
+        for span in &tree.spans {
+            let times = if span.count > 1 {
+                format!(" x{}", span.count)
+            } else {
+                String::new()
+            };
+            writeln!(
+                out,
+                "    {:>8.2}h  {}{times}",
+                hours(span.time_ms),
+                span.name
+            )?;
+        }
+    }
+    if traces.traces.len() > TRACES_SHOWN {
+        writeln!(
+            out,
+            "... and {} more sampled trace(s) in the JSON",
+            traces.traces.len() - TRACES_SHOWN
+        )?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crp_core::explain::ExplainLog;
     use crp_telemetry::profile::ProfileNode;
-    use crp_telemetry::{stage, TelemetrySummary};
+    use crp_telemetry::stage;
     use serde::Deserialize;
 
     fn read<T: Deserialize>(path: &Path) -> T {
@@ -173,19 +466,19 @@ mod tests {
         drop(s);
         assert!(crp_telemetry::shutdown("t_disabled").is_none());
 
-        // --observe arms every SimTime-side layer and writes every
-        // artifact into the one directory.
+        // --observe arms every SimTime-side layer and writes the stream
+        // and one manifest into the one directory.
         let dir = std::env::temp_dir().join("crp-eval-observe-test");
         let _ = fs::remove_dir_all(&dir);
         let args = EvalArgs {
             observe: Some(dir.to_string_lossy().into_owned()),
             ..EvalArgs::default()
         };
-        let s = session(&args, "t_obs");
+        let mut s = session(&args, "t_obs");
         let layers =
             stage::METRICS | stage::EXPLAIN | stage::TIMESERIES | stage::TRACE | stage::MEM;
         assert_eq!(stage::mask(), layers, "--observe arms all but the profiler");
-        assert_eq!(s.observe_dir(), Some(dir.as_path()));
+        assert!(s.observing());
         crp_telemetry::counter_add("test.calls", 3);
         crp_telemetry::event(5, "test.tick", &[]);
         {
@@ -203,30 +496,48 @@ mod tests {
         });
         trace::begin(trace::mint(&[7]), 0, stage::CDN_AUTHORITATIVE_ANSWER.name);
         crp_telemetry::observe_at(0, "cdn.best_candidate_ms", 12.5);
+        let timeline = r#"{"interval_ms":1,"l1_threshold":0.5,"remap_fraction":0.2,
+            "snapshots":0,"windows":[],"remap_events":[]}"#;
+        s.set_drift(serde_json::from_str(timeline).expect("a drift timeline"));
         drop(s);
         assert_eq!(stage::mask(), 0, "the drop disarms every layer");
-        assert!(dir.join("t_obs.jsonl").exists());
-        for kind in ["timeseries", "traces"] {
-            let path = dir.join(format!("t_obs_{kind}.json"));
-            assert!(path.exists(), "missing {}", path.display());
-        }
-        let summary: TelemetrySummary = read(&dir.join("t_obs_summary.json"));
+        let mut files: Vec<String> = fs::read_dir(&dir)
+            .expect("observe dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["t_obs.jsonl", "t_obs_manifest.json"]);
+        let runs = load(&dir).expect("loads");
+        assert_eq!(runs.len(), 1);
+        let run = &runs[0];
+        assert!(run.stream.is_ok(), "{:?}", run.stream);
+        let m = &run.manifest;
+        assert_eq!(m.experiment, "t_obs");
+        let summary = m.summary.as_ref().expect("summary section");
         assert_eq!(summary.experiment, "t_obs");
         assert_eq!(summary.counter("test.calls"), Some(3));
         assert_eq!(summary.counter(stage::AUDIT_DRIFT_SCAN.calls), Some(1));
-        let log: ExplainLog = read(&dir.join("t_obs_provenance.json"));
+        let log = m.provenance.as_ref().expect("provenance section");
         assert_eq!(log.inversions.len(), 1);
         assert_eq!(log.inversions[0].client, "c0");
-        let alerts: alert::AlertLog = read(&dir.join("t_obs_alerts.json"));
+        assert!(m.timeseries.is_some() && m.traces.is_some());
+        let alerts = m.alerts.as_ref().expect("alerts section");
         assert!(alerts.rule("ingest-latency-p99").is_some());
         assert!(alerts.firing().is_empty(), "one cheap sample cannot fire");
         // This crate installs the counting allocator, so the snapshot
         // carries real counts.
-        let snap: crp_telemetry::MemSnapshot = read(&dir.join("t_obs_mem.json"));
+        let snap = m.mem.as_ref().expect("mem section");
         let domain = snap
             .domain(stage::AUDIT_DRIFT_SCAN.name)
             .expect("stage domain in the snapshot");
         assert!(domain.allocs > 0, "{snap:?}");
+        assert_eq!(m.drift.as_ref().map(|d| d.interval_ms), Some(1));
+        assert!(m.detect.is_none(), "no detection report was handed over");
+        let mut text = Vec::new();
+        dashboard(&mut text, m).expect("renders");
+        let text = String::from_utf8(text).expect("utf8");
+        assert!(text.starts_with("live report: t_obs\n"), "{text}");
+        assert!(text.contains("cdn.best_candidate_ms"), "{text}");
         let _ = fs::remove_dir_all(&dir);
 
         // --profile starts only the profiler; the drop writes the tree.
@@ -238,7 +549,7 @@ mod tests {
         };
         let s = session(&args, "t_profile");
         assert_eq!(stage::mask(), stage::PROFILE);
-        assert_eq!(s.observe_dir(), None);
+        assert!(!s.observing());
         {
             crp_telemetry::stage!(AUDIT_DETECT_SCAN);
         }
@@ -255,5 +566,46 @@ mod tests {
             "tree: {tree:?}"
         );
         let _ = fs::remove_dir_all(&pdir);
+    }
+
+    #[test]
+    fn load_sorts_by_experiment_and_rejects_malformed_manifests() {
+        let dir = std::env::temp_dir().join("crp-eval-load-test");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("mkdir");
+        let manifest = |experiment: &str| {
+            format!(
+                r#"{{"experiment":"{experiment}","summary":null,"provenance":null,
+                "timeseries":null,"alerts":null,"traces":null,"mem":null,"drift":null,
+                "detect":null}}"#
+            )
+        };
+        for exp in ["zeta", "alpha"] {
+            fs::write(dir.join(format!("{exp}{MANIFEST_SUFFIX}")), manifest(exp)).expect("write");
+        }
+        fs::write(dir.join("alpha.jsonl"), "{\"kind\":\"span_end\"}\n").expect("write");
+        fs::write(dir.join("alpha_notes.json"), "not a manifest").expect("write");
+        let runs = load(&dir).expect("loads");
+        let names: Vec<&str> = runs
+            .iter()
+            .map(|r| r.manifest.experiment.as_str())
+            .collect();
+        assert_eq!(names, ["alpha", "zeta"]);
+        assert_eq!(runs[0].stream.as_ref().map(|c| c.spans), Ok(1));
+        assert!(runs[1].stream.is_err(), "zeta has no stream");
+
+        fs::write(
+            dir.join(format!("beta{MANIFEST_SUFFIX}")),
+            manifest("alpha"),
+        )
+        .expect("write");
+        assert!(load(&dir)
+            .expect_err("misnamed")
+            .contains("names experiment `alpha`"));
+        fs::write(dir.join(format!("beta{MANIFEST_SUFFIX}")), "{").expect("write");
+        assert!(load(&dir)
+            .expect_err("malformed")
+            .contains("malformed manifest"));
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,11 +1,14 @@
 //! End-to-end check of `--observe`: runs `fig9_window_size` at a tiny
-//! scale and cross-checks the JSONL stream against the summary — every
-//! `event.<name>` counter must equal the stream's event count for that
-//! name, and the summary's tracker counter must equal the total
-//! independently recomputed from the per-host event fields.
+//! scale and cross-checks the JSONL stream against the summary in the
+//! run manifest — every `event.<name>` counter must equal the stream's
+//! event count for that name, and the summary's tracker counter must
+//! equal the total independently recomputed from the per-host event
+//! fields. The `report` binary must then reach the same verdict over
+//! the directory, and reject a manifest it cannot judge.
 
-use crp_telemetry::{stage, TelemetrySummary};
-use serde::Deserialize as _;
+use crp_eval::audit::RunReport;
+use crp_eval::telemetry::RunManifest;
+use crp_telemetry::stage;
 use serde::Value;
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -72,10 +75,23 @@ fn fig9_telemetry_stream_matches_summary() {
     }
     assert!(event_lines > 0, "instrumentation emitted no events");
 
-    let raw = std::fs::read_to_string(dir.join("fig9_window_size_summary.json"))
-        .expect("telemetry summary written");
-    let summary = TelemetrySummary::from_value(&serde_json::parse(&raw).expect("summary is JSON"))
-        .expect("summary deserializes");
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("observe dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(
+        files,
+        [
+            "fig9_window_size.jsonl",
+            "fig9_window_size_manifest.json",
+            "results"
+        ]
+    );
+    let raw = std::fs::read_to_string(dir.join("fig9_window_size_manifest.json"))
+        .expect("run manifest written");
+    let manifest: RunManifest = serde_json::from_str(&raw).expect("manifest deserializes");
+    let summary = manifest.summary.expect("manifest carries the summary");
 
     assert_eq!(summary.experiment, "fig9_window_size");
     assert_eq!(summary.events_recorded, event_lines);
@@ -113,5 +129,50 @@ fn fig9_telemetry_stream_matches_summary() {
         "ranking histogram missing"
     );
 
+    // The report binary walks the same stream against the same summary.
+    let out = dir.join("report");
+    let status = Command::new(env!("CARGO_BIN_EXE_report"))
+        .arg(&dir)
+        .arg("--out")
+        .arg(&out)
+        .status()
+        .expect("run report");
+    assert!(matches!(status.code(), Some(0 | 1)), "{status}");
+    let raw = std::fs::read_to_string(out.join("run_report.json")).expect("run report written");
+    let report: RunReport = serde_json::from_str(&raw).expect("a RunReport");
+    let stream = report
+        .verdicts
+        .iter()
+        .find(|v| v.name == "stream-matches-summary")
+        .expect("stream verdict present");
+    assert!(stream.passed, "{stream:?}");
+    let records = jsonl.lines().count();
+    let expected =
+        format!("1 stream(s) match their summaries (fig9_window_size {records} record(s))");
+    assert_eq!(stream.detail, expected);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn report_rejects_a_manifest_without_summary() {
+    let dir = std::env::temp_dir().join(format!("crp-report-it-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let manifest = r#"{"experiment":"exp","summary":null,"provenance":null,"timeseries":null,
+        "alerts":null,"traces":null,"mem":null,"drift":null,"detect":null}"#;
+    std::fs::write(dir.join("exp_manifest.json"), manifest).expect("write");
+    let status = Command::new(env!("CARGO_BIN_EXE_report"))
+        .arg(&dir)
+        .arg("--out")
+        .arg(dir.join("out"))
+        .status()
+        .expect("run report");
+    assert_eq!(
+        status.code(),
+        Some(2),
+        "a manifest without summary is malformed"
+    );
+    assert!(!dir.join("out").exists(), "no report for a malformed run");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,7 +5,7 @@
 //! engine replays each rule's tier in ascending window order, applies
 //! for-duration debouncing, and records firing/resolved transitions at
 //! the **simulated time** of the window that triggered them. The same
-//! seeded run therefore produces a byte-identical `alerts.json`.
+//! seeded run therefore produces a byte-identical alert log.
 //!
 //! Three rule kinds:
 //!
@@ -232,7 +232,7 @@ impl RuleOutcome {
     }
 }
 
-/// The machine-readable alert log (`alerts.json`).
+/// The machine-readable alert log (a run manifest's `alerts` section).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AlertLog {
     /// Per-rule outcomes, in rule order.

@@ -191,8 +191,9 @@ impl Collector {
             self.sink_dropped += 1;
         }
         // Records the sink silently shed (encode/IO failures) become a
-        // first-class health signal: `telemetry_check` warns on any loss
-        // and fails past its threshold.
+        // first-class health signal: the run report's
+        // stream-matches-summary verdict notes any loss and fails past
+        // its threshold.
         self.sink_dropped = self.sink_dropped.saturating_add(self.sink.dropped());
         TelemetrySummary {
             experiment: experiment.to_owned(),

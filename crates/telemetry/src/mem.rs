@@ -8,9 +8,9 @@
 //! every allocation, deallocation, and reallocation the thread performs
 //! is charged to `core.tracker` — live bytes, peak live bytes, total
 //! bytes, operation counts, and a power-of-two size-class histogram. A
-//! committed `MEM_BASELINE.json` plus the `mem_check`/`mem_report`
-//! binaries turn the attribution into a ratcheted budget gate,
-//! mirroring `bench_check`.
+//! committed `MEM_BASELINE.json` plus `bench_check`'s memory gate and
+//! attribution table turn the attribution into a ratcheted budget
+//! gate, next to its timing gate.
 //!
 //! Boundary rules (the same contract as the profiler):
 //!

@@ -151,21 +151,7 @@ impl Window {
     /// rank bucket, clamped to the observed range), or `None` when the
     /// window is empty or `q` is outside `(0, 1]`.
     pub fn quantile(&self, bounds: &[f64], q: f64) -> Option<f64> {
-        if self.count == 0 || !(q > 0.0 && q <= 1.0) {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        let mut idx = self.buckets.len().saturating_sub(1);
-        for (i, c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                idx = i;
-                break;
-            }
-        }
-        let raw = bounds.get(idx).copied().unwrap_or(self.max);
-        Some(raw.clamp(self.min, self.max))
+        rank_walk(self.count, self.min, self.max, &self.buckets, bounds, q)
     }
 
     /// Merges `other` into `self` (used for multi-window burn-rate
@@ -194,6 +180,34 @@ impl Window {
             }
         }
     }
+}
+
+/// The quantile rank walk shared by live and exported windows: the
+/// upper bound of the bucket holding rank `ceil(q * count)`, clamped
+/// to `[min, max]`; `None` when empty or `q` is outside `(0, 1]`.
+fn rank_walk(
+    count: u64,
+    min: f64,
+    max: f64,
+    buckets: &[u64],
+    bounds: &[f64],
+    q: f64,
+) -> Option<f64> {
+    if count == 0 || !(q > 0.0 && q <= 1.0) {
+        return None;
+    }
+    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+    let mut seen = 0u64;
+    let mut idx = buckets.len().saturating_sub(1);
+    for (i, c) in buckets.iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            idx = i;
+            break;
+        }
+    }
+    let raw = bounds.get(idx).copied().unwrap_or(max);
+    Some(raw.clamp(min, max))
 }
 
 #[derive(Clone, Debug)]
@@ -461,6 +475,14 @@ pub struct WindowExport {
     pub exemplars: Vec<ExemplarExport>,
 }
 
+impl WindowExport {
+    /// The `q`-quantile estimate, by the same rank walk as
+    /// [`Window::quantile`].
+    pub fn quantile(&self, bounds: &[f64], q: f64) -> Option<f64> {
+        rank_walk(self.count, self.min, self.max, &self.buckets, bounds, q)
+    }
+}
+
 /// One exemplar: a bucket index and the trace id that landed in it.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExemplarExport {
@@ -656,6 +678,19 @@ mod tests {
         assert_eq!(w.quantile(&bounds, 0.25), Some(1.0));
         assert_eq!(w.quantile(&bounds, 1.0), Some(50.0)); // clamped to max
         assert_eq!(Window::empty(4).quantile(&bounds, 0.5), None);
+        // An exported window walks the same ranks.
+        let exported = export_window(&w);
+        for q in [0.25, 0.5, 0.99, 1.0] {
+            assert_eq!(
+                exported.quantile(&bounds, q),
+                w.quantile(&bounds, q),
+                "q {q}"
+            );
+        }
+        assert_eq!(
+            export_window(&Window::empty(4)).quantile(&bounds, 0.5),
+            None
+        );
     }
 
     #[test]

@@ -236,8 +236,8 @@ impl Scenario {
                 "mem.footprint.cdn.tables",
                 self.cdn.mem_footprint() as f64,
             );
-            // Occupancy of the bounded remap-event observer, so
-            // live_report charts how close the campaign came to the
+            // Occupancy of the bounded remap-event observer, so the
+            // report dashboard charts how close the campaign came to the
             // capacity at which remap ground truth starts dropping.
             crp_telemetry::observe_at(
                 end.as_millis(),
