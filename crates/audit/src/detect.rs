@@ -492,7 +492,10 @@ impl ChangeDetector {
         g.fresh_replica_hosts >= self.cfg.fresh_hosts
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each detector condition passes the class, host count, magnitude and replicas of its change"
+    )]
     fn raise(
         &mut self,
         raised: &mut Vec<DetectedChange>,

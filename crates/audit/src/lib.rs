@@ -40,6 +40,14 @@
 //! [`DetectedChange`]: detect::DetectedChange
 //! [`HealthVerdict`]: report::HealthVerdict
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::iter_over_hash_type
+)]
+
 pub mod detect;
 pub mod drift;
 pub mod report;

@@ -146,10 +146,14 @@ impl Gnp {
             })
             .collect();
         // Start at the nearest landmark's coordinate.
+        #[expect(
+            clippy::expect_used,
+            reason = "landmark sets are validated non-empty at construction"
+        )]
         let nearest = targets
             .iter()
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("landmarks exist"); // crp-lint: allow(CRP001) — landmark sets are validated non-empty at construction
+            .expect("landmarks exist");
         let mut pos = nearest.0.clone();
         let mut step = self.cfg.initial_step_ms;
         for _ in 0..self.cfg.iterations {

@@ -15,6 +15,13 @@
 //!   them lets the ablation benches close that loop inside the
 //!   reproduction.
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 pub mod asn;
 pub mod binning;
 pub mod gnp;

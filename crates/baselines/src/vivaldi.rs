@@ -142,7 +142,11 @@ impl Vivaldi {
     /// Panics if either host was not registered at construction.
     pub fn update(&mut self, a: HostId, b: HostId, rtt: Rtt) {
         let cb = self.coords[&b].clone();
-        let ca = self.coords.get_mut(&a).expect("host registered"); // crp-lint: allow(CRP001) — documented # Panics contract: hosts must be registered
+        #[expect(
+            clippy::expect_used,
+            reason = "documented # Panics contract: hosts must be registered"
+        )]
+        let ca = self.coords.get_mut(&a).expect("host registered");
         let dist = coord_distance(&ca.v, ca.height, &cb.v, cb.height);
         let rtt_ms = rtt.millis().max(0.1);
         // Sample weight balances local vs remote confidence.
@@ -193,7 +197,8 @@ impl Vivaldi {
         for (i, &a) in self.members.iter().enumerate() {
             for &b in &self.members[i + 1..] {
                 let truth = net.rtt(a, b, t).millis();
-                let est = self.estimate(a, b).expect("members registered").millis(); // crp-lint: allow(CRP001) — members are registered at construction
+                #[expect(clippy::expect_used, reason = "members are registered at construction")]
+                let est = self.estimate(a, b).expect("members registered").millis();
                 errs.push((est - truth).abs() / truth.max(0.1));
             }
         }

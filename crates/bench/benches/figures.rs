@@ -81,14 +81,14 @@ fn bench_ablation_kernel(c: &mut Criterion) {
 /// Thin re-exports of the eval kernels so the benches exercise the same
 /// code the figures use.
 mod crp_eval_shim {
-    pub use crp_eval::closest::average_ranks;
-    pub use crp_eval::{run_closest, run_clustering};
+    pub(crate) use crp_eval::closest::average_ranks;
+    pub(crate) use crp_eval::{run_closest, run_clustering};
 
-    pub fn closest_smoke(seed: u64) -> crp_eval::ClosestConfig {
+    pub(crate) fn closest_smoke(seed: u64) -> crp_eval::ClosestConfig {
         crp_eval::ClosestConfig::smoke(seed)
     }
 
-    pub fn cluster_smoke(seed: u64) -> crp_eval::ClusterExpConfig {
+    pub(crate) fn cluster_smoke(seed: u64) -> crp_eval::ClusterExpConfig {
         crp_eval::ClusterExpConfig::smoke(seed)
     }
 }

@@ -130,6 +130,7 @@ fn main() -> ExitCode {
         eprintln!("bench_all: cannot create {}: {err}", opts.out_dir.display());
         return ExitCode::from(1);
     }
+    #[expect(clippy::disallowed_methods, reason = "bench_all writes its reports")]
     for path in [&out_path, &snapshot] {
         if let Err(err) = std::fs::write(path, &json) {
             eprintln!("bench_all: cannot write {}: {err}", path.display());
@@ -145,6 +146,7 @@ fn main() -> ExitCode {
         }
     };
     let mem_path = opts.out_dir.join("mem.json");
+    #[expect(clippy::disallowed_methods, reason = "bench_all writes its reports")]
     if let Err(err) = std::fs::write(&mem_path, &mem_json) {
         eprintln!("bench_all: cannot write {}: {err}", mem_path.display());
         return ExitCode::from(1);
@@ -369,19 +371,6 @@ fn register_all(runner: &mut Runner) {
     runner.run("macro/fig4_closest_smoke", 5, 1, fig4_row);
     runner.run("macro/fig6_clustering_smoke", 5, 1, fig6_row);
     runner.run("macro/observation_campaign_6h", 5, 1, campaign_row);
-
-    // --- workspace tooling: the lint pass (scope + call graph +
-    //     reachability) runs on every push, so its speed is gated too.
-    //     Reading the sources stays outside the timed closure.
-    let ws_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(std::path::Path::parent)
-        .expect("bench sits two levels below the workspace root")
-        .to_path_buf();
-    let sources = crp_xtask::read_workspace_sources(&ws_root).expect("workspace sources readable");
-    runner.run("xtask/lint_workspace", 5, 1, || {
-        crp_xtask::lint_files(&sources, &[]).diagnostics.len()
-    });
 }
 
 /// A 12-hour observation history for the detector scan: 48 hosts in 4

@@ -15,7 +15,7 @@
 //! [`crp_telemetry::profile::CountingAllocator`] as its global
 //! allocator, per-iteration allocation pressure is reported as well.
 //!
-//! This module deliberately does **no file I/O** (lint rule CRP006):
+//! This module deliberately does **no file I/O** (`clippy.toml` disallows it):
 //! the binaries own reading and writing; the harness owns measuring and
 //! comparing, so every decision procedure here is unit-testable.
 
@@ -115,6 +115,10 @@ impl Runner {
         let bytes_before = profile::allocated_bytes();
         let allocs_before = profile::allocation_count();
         for _ in 0..samples {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the bench harness times its samples on the wall clock"
+            )]
             let started = Instant::now();
             for _ in 0..iters {
                 std::hint::black_box(f());
@@ -612,7 +616,10 @@ mod tests {
         assert_eq!(cmp.checked, 2);
     }
 
-    fn mem_report(label: &str, rows: &[(&str, &[(&str, i64, u64)])]) -> MemReport {
+    /// `(domain, peak bytes, allocations per iteration)` of one benchmark.
+    type DomainRow<'a> = (&'a str, i64, u64);
+
+    fn mem_report(label: &str, rows: &[(&str, &[DomainRow])]) -> MemReport {
         MemReport {
             label: label.to_owned(),
             quick: false,

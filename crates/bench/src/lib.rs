@@ -8,6 +8,13 @@
 //! additionally use [`harness`] for fixed-plan runs with machine-readable
 //! reports and regression gating.
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 pub mod harness;
 
 use crp::{Scenario, ScenarioConfig};
@@ -44,7 +51,11 @@ pub fn synthetic_map(seed: u64, entries: usize, universe: u64) -> RatioMap<u32> 
             (key, w)
         })
         .collect();
-    RatioMap::from_weights(weights).expect("positive weights") // crp-lint: allow(CRP001) — weights are drawn from [1, 10], always positive
+    #[expect(
+        clippy::expect_used,
+        reason = "weights are drawn from [1, 10], always positive"
+    )]
+    RatioMap::from_weights(weights).expect("positive weights")
 }
 
 /// A batch of synthetic ratio maps for clustering/selection benches.

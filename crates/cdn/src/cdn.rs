@@ -163,7 +163,8 @@ impl Cdn {
             fallbacks,
             customers: Vec::new(),
             by_domain: HashMap::new(),
-            edge_zone: "g.akamai-sim.net".parse().expect("static name is valid"), // crp-lint: allow(CRP001) — static zone name is a valid domain
+            #[expect(clippy::expect_used, reason = "the static zone name is a valid domain")]
+            edge_zone: "g.akamai-sim.net".parse().expect("static name is valid"),
             shortlists: RwLock::new(HashMap::new()),
             epoch_best: RwLock::new(HashMap::new()),
             remap_observer_capacity: DEFAULT_REMAP_OBSERVER_CAPACITY,
@@ -212,21 +213,33 @@ impl Cdn {
             self.per_replica_answers.push(AtomicU64::new(0));
             ids.push(id);
         }
-        self.reserves[region.index() as usize].extend_from_slice(&ids); // crp-lint: allow(CRP010) — one reserve pool per Region; index < Region::ALL.len() by construction
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "one reserve pool per Region, and Region::index is below Region::ALL.len()"
+        )]
+        self.reserves[region.index() as usize].extend_from_slice(&ids);
         ids
     }
 
     /// Takes up to `count` dormant reserves from `region`'s pool, in
     /// deployment order.
     pub fn take_reserves(&mut self, region: Region, count: usize) -> Vec<ReplicaId> {
-        let pool = &mut self.reserves[region.index() as usize]; // crp-lint: allow(CRP010) — one reserve pool per Region; index < Region::ALL.len() by construction
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "one reserve pool per Region, and Region::index is below Region::ALL.len()"
+        )]
+        let pool = &mut self.reserves[region.index() as usize];
         let n = count.min(pool.len());
         pool.drain(..n).collect()
     }
 
     /// Dormant reserves remaining in `region`'s pool.
     pub fn reserve_count(&self, region: Region) -> usize {
-        self.reserves[region.index() as usize].len() // crp-lint: allow(CRP010) — one reserve pool per Region; index < Region::ALL.len() by construction
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "one reserve pool per Region, and Region::index is below Region::ALL.len()"
+        )]
+        self.reserves[region.index() as usize].len()
     }
 
     /// Activates a dormant replica: it starts serving at `at`.
@@ -234,14 +247,18 @@ impl Cdn {
     /// # Panics
     ///
     /// Panics if the replica id is unknown or already active.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the replica index is asserted in range first; control-plane path"
+    )]
     pub fn activate_replica(&mut self, replica: ReplicaId, at: SimTime) {
         assert!(replica.index() < self.replicas.len(), "unknown replica");
         assert_eq!(
-            self.active_from[replica.index()], // crp-lint: allow(CRP010) — bounds asserted above; control-plane path
+            self.active_from[replica.index()],
             FOREVER,
             "replica {replica:?} is already active"
         );
-        self.active_from[replica.index()] = at; // crp-lint: allow(CRP010) — bounds asserted above; control-plane path
+        self.active_from[replica.index()] = at;
     }
 
     /// Retires a replica permanently from `at` on — a pool flip's
@@ -296,8 +313,7 @@ impl Cdn {
     fn effective_lb_pool(&self, t: SimTime) -> usize {
         self.lb_overrides
             .iter()
-            .filter(|(at, _)| *at <= t)
-            .next_back()
+            .rfind(|(at, _)| *at <= t)
             .map_or(self.cfg.load_balance_pool, |(_, pool)| *pool)
     }
 
@@ -315,7 +331,10 @@ impl Cdn {
 
     /// The region a replica is homed in.
     pub fn replica_region(&self, replica: ReplicaId) -> Region {
-        // crp-lint: allow(CRP010) — ReplicaIds are only minted by this Cdn; always in range
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "ReplicaIds are only minted by this Cdn, so they are always in range"
+        )]
         let host = self.replicas[replica.index()].host();
         self.net.host(host).region()
     }
@@ -359,10 +378,14 @@ impl Cdn {
             "customer already registered: {name}"
         );
         let idx = self.customers.len();
+        #[expect(
+            clippy::expect_used,
+            reason = "a generated edge label is a valid DNS label"
+        )]
         let edge_name = self
             .edge_zone
             .prepend(&format!("a{}", 1_000 + idx))
-            .expect("edge label is valid"); // crp-lint: allow(CRP001) — generated edge label is a valid DNS label
+            .expect("edge label is valid");
         let eligible: Vec<ReplicaId> = self
             .replicas
             .iter()
@@ -395,8 +418,12 @@ impl Cdn {
 
     /// Whether `replica` is serving at time `t`: activated (dormant
     /// reserves are not), and not inside a scheduled outage.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ReplicaIds are only minted by this Cdn, so they are always in range"
+    )]
     pub fn replica_is_up(&self, replica: ReplicaId, t: SimTime) -> bool {
-        t >= self.active_from[replica.index()] // crp-lint: allow(CRP010) — ReplicaIds are only minted by this Cdn; always in range
+        t >= self.active_from[replica.index()]
             && !self
                 .outages
                 .iter()
@@ -498,6 +525,10 @@ impl Cdn {
     /// over the fleet (the commensalism analysis of §VI).
     pub fn answers_by_region(&self) -> Vec<(Region, u64)> {
         let mut out: Vec<(Region, u64)> = Region::ALL.iter().map(|r| (*r, 0)).collect();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "out holds one entry per Region::ALL, and Region::index is a position in it"
+        )]
         for (replica, count) in self.replicas.iter().zip(&self.per_replica_answers) {
             let region = self.net.host(replica.host()).region();
             out[region.index() as usize].1 += count.load(Ordering::Relaxed);
@@ -511,6 +542,10 @@ impl Cdn {
     fn measured_ms(&self, resolver: HostId, replica: ReplicaId, t: SimTime) -> f64 {
         let epoch = t.as_millis() / self.cfg.mapping_epoch_ms;
         let epoch_start = SimTime::from_millis(epoch * self.cfg.mapping_epoch_ms);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "ReplicaIds are only minted by this Cdn, so they are always in range"
+        )]
         let truth = self
             .net
             .rtt(resolver, self.replicas[replica.index()].host(), epoch_start)
@@ -548,7 +583,15 @@ impl Cdn {
                 return;
             }
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "customer indices come from by_domain"
+        )]
         let customer = &self.customers[customer_idx];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "ReplicaIds are only minted by this Cdn, so they are always in range"
+        )]
         let mut scored: Vec<(f64, ReplicaId)> = customer
             .eligible()
             .iter()
@@ -556,10 +599,9 @@ impl Cdn {
                 let host = self.replicas[id.index()].host();
                 (self.net.baseline_rtt(resolver, host).millis(), *id)
             })
-            .collect(); // crp-lint: allow(CRP009) — one-time computation per (resolver, customer); memoized thereafter
+            .collect();
         scored.sort_by(|a, b| a.0.total_cmp(&b.0));
         scored.truncate(self.cfg.shortlist_size);
-        // crp-lint: allow(CRP009) — cold path: builds the memoized list
         let list: Vec<ReplicaId> = scored.into_iter().map(|(_, id)| id).collect();
         out.extend_from_slice(&list);
         self.shortlists
@@ -572,7 +614,10 @@ impl Cdn {
     /// favor lower measured latency (softmax over -rtt). Results land in
     /// `picked`; `remaining` and `weights` are caller-owned scratch so
     /// the warm path allocates nothing.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the caller-owned scratch buffers keep the warm answer path allocation-free"
+    )]
     fn weighted_pick_into(
         &self,
         pool: &[(f64, ReplicaId)],
@@ -602,7 +647,6 @@ impl Cdn {
             );
             let total: f64 = weights.iter().sum();
             crp_core::debug_invariant!(
-                // crp-lint: allow(CRP014) — debug-assertions-only invariant check; compiled out in release
                 crp_core::invariant::check_ratio_distribution(
                     weights.iter().map(|w| w / total).collect::<Vec<_>>().iter()
                 ),
@@ -658,7 +702,6 @@ impl Cdn {
                     self.remap_events.fetch_add(1, Ordering::Relaxed);
                     crp_telemetry::counter_add_at(now.as_millis(), "cdn.remap.events", 1);
                     if crp_telemetry::enabled() {
-                        // crp-lint: allow(CRP014) — remap event emission behind the telemetry enabled() gate
                         crp_telemetry::event(
                             now.as_millis(),
                             "cdn.remap",
@@ -747,6 +790,10 @@ impl AuthoritativeServer for Cdn {
     /// (CDN-owned address) or an answer scattered across a much wider
     /// pool — reproducing the behavior the paper observed for clients in
     /// regions Akamai served badly.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "customer indices come from by_domain, ReplicaIds are minted by this Cdn, and each pool width is clamped to its slice's length"
+    )]
     fn authoritative_answer(
         &self,
         query: &DomainName,
@@ -767,7 +814,6 @@ impl AuthoritativeServer for Cdn {
                 now.as_millis(),
                 customer_idx as u64,
             ]);
-            // crp-lint: allow(CRP014) — trace mint allocates only for sampled traces, capped per trace
             crp_telemetry::trace::begin(
                 id,
                 now.as_millis(),
@@ -884,9 +930,7 @@ impl AuthoritativeServer for Cdn {
                 self.per_replica_answers[id.index()].fetch_add(1, Ordering::Relaxed);
             }
             Some(DnsResponse::new(
-                // crp-lint: allow(CRP009) — Arc-backed name clone: a refcount bump, not a heap copy
                 query.clone(),
-                // crp-lint: allow(CRP014) — answer assembly allocates the response it returns, bounded by answer_count
                 self.answer_records(customer, picked),
             ))
         })

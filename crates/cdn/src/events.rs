@@ -327,7 +327,11 @@ fn victims(cdn: &Cdn, region: Region, at: SimTime, fraction: f64) -> Vec<Replica
         "no serving replicas in {region} at {at} to affect"
     );
     let n = ((pool.len() as f64 * fraction).round() as usize).clamp(1, pool.len());
-    pool[..n].to_vec() // crp-lint: allow(CRP010) — n is clamped to pool.len() on the line above
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "n is clamped to pool.len() on the line above"
+    )]
+    pool[..n].to_vec()
 }
 
 fn ids(replicas: &[ReplicaId]) -> Vec<u64> {

@@ -39,6 +39,16 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::iter_over_hash_type
+)]
+
 pub mod cdn;
 pub mod customer;
 pub mod deployment;

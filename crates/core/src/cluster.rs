@@ -175,6 +175,10 @@ impl<N: Ord + Clone> Clustering<N> {
             for m in &members {
                 assert!(seen.insert(m.clone()), "node appears in two clusters");
             }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the assert above rejects empty groups"
+            )]
             clusters.push(Cluster {
                 center: members[0].clone(),
                 members,
@@ -212,6 +216,10 @@ impl<N: Ord + Clone> Clustering<N> {
     /// the "find my cluster peers" query from §IV-B.
     pub fn peers_of(&self, node: &N) -> Vec<&N> {
         match self.cluster_of(node) {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "cluster_of returns an index into self.clusters"
+            )]
             Some(i) => self.clusters[i]
                 .members
                 .iter()
@@ -242,6 +250,10 @@ impl<N: Ord + Clone> Clustering<N> {
         } else {
             nodes_clustered as f64 / num_clusters as f64
         };
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "each arm indexes below n == sizes.len() >= 1"
+        )]
         let median_size = match num_clusters {
             0 => 0.0,
             n if n % 2 == 1 => sizes[n / 2] as f64,
@@ -269,6 +281,10 @@ impl<N: Ord + Clone> Clustering<N> {
     ///
     /// Panics if the threshold is outside `[0, 1]` or a node id appears
     /// twice.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ci and cj index clusters, pos indexes lone, and every center is a key of maps"
+    )]
     pub fn smf<K>(nodes: &[(N, RatioMap<K>)], cfg: &SmfConfig) -> Clustering<N>
     where
         N: std::fmt::Debug,
@@ -406,6 +422,10 @@ impl<N: Ord + Clone> Clustering<N> {
 
 /// Attempts to join `node` to the active cluster whose center is most
 /// similar, returning whether it joined.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "active_centers holds indices into clusters, and every center is a key of maps"
+)]
 fn try_join<N, K>(
     map: &RatioMap<K>,
     node: &N,
@@ -454,6 +474,10 @@ where
 {
     let mut order: Vec<usize> = (0..nodes.len()).collect();
     seeded_shuffle(&mut order, seed ^ 0xC3);
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "order is a permutation of 0..nodes.len()"
+    )]
     order
         .into_iter()
         .take(count)

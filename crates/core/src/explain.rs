@@ -31,9 +31,9 @@
 //! instead of growing the log, so an SMF run over thousands of nodes
 //! (O(n²) comparisons) cannot exhaust memory.
 //!
-//! Lint rule CRP008 keeps `explain::record_*` calls confined to the
-//! sanctioned decision sites — new call sites must be added to the
-//! xtask allow-list deliberately.
+//! Every `record_*` hook also returns at once while recording is off,
+//! so a call that skipped the [`enabled`] check still costs one branch
+//! and no allocation (`tests/hot_path_allocs.rs` pins this).
 
 use crate::ratio::RatioMap;
 use crate::similarity::SimilarityMetric;
@@ -219,14 +219,17 @@ fn push_capped<T>(records: &mut Vec<T>, dropped: &mut u64, record: T) {
     }
 }
 
-/// Records the provenance of one similarity computation. Call only
-/// behind [`enabled`].
+/// Records the provenance of one similarity computation. Returns at
+/// once unless [`enabled`].
 pub fn record_similarity<K: Ord + Clone + Debug>(
     metric: SimilarityMetric,
     a: &RatioMap<K>,
     b: &RatioMap<K>,
     score: f64,
 ) {
+    if !enabled() {
+        return;
+    }
     let contributions: Vec<Contribution> = a
         .cosine_contributions(b)
         .into_iter()
@@ -248,9 +251,12 @@ pub fn record_similarity<K: Ord + Clone + Debug>(
     }
 }
 
-/// Records the provenance of one closest-node ranking. Call only behind
-/// [`enabled`].
+/// Records the provenance of one closest-node ranking. Returns at once
+/// unless [`enabled`].
 pub fn record_ranking<N: Ord + Debug>(entries: &[(N, f64)]) {
+    if !enabled() {
+        return;
+    }
     let Some((top, top_score)) = entries.first() else {
         return;
     };
@@ -270,8 +276,8 @@ pub fn record_ranking<N: Ord + Debug>(entries: &[(N, f64)]) {
     }
 }
 
-/// Records the provenance of one SMF assignment decision. Call only
-/// behind [`enabled`].
+/// Records the provenance of one SMF assignment decision. Returns at
+/// once unless [`enabled`].
 pub fn record_assignment<N: Ord + Debug>(
     node: &N,
     best_center: Option<&N>,
@@ -279,6 +285,9 @@ pub fn record_assignment<N: Ord + Debug>(
     threshold: f64,
     joined: bool,
 ) {
+    if !enabled() {
+        return;
+    }
     let record = AssignmentRecord {
         node: format!("{node:?}"),
         best_center: best_center.map(|c| format!("{c:?}")).unwrap_or_default(),
@@ -292,8 +301,11 @@ pub fn record_assignment<N: Ord + Debug>(
 }
 
 /// Records a ground-truth rank inversion, from the evaluation harness.
-/// Call only behind [`enabled`].
+/// Returns at once unless [`enabled`].
 pub fn record_inversion(record: InversionRecord) {
+    if !enabled() {
+        return;
+    }
     if let Some(log) = log_slot().as_mut() {
         push_capped(&mut log.inversions, &mut log.dropped_inversions, record);
     }

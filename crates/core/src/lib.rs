@@ -44,6 +44,16 @@
 //! # Ok::<(), crp_core::RatioMapError>(())
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::iter_over_hash_type
+)]
+
 pub mod cluster;
 pub mod counting;
 pub mod explain;

@@ -69,6 +69,10 @@ impl QualityReport {
                 .sum::<f64>()
                 / (members.len() - 1) as f64;
             let mut diameter: f64 = 0.0;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "a_idx < members.len(), so the tail slice starts in bounds"
+            )]
             for (a_idx, a) in members.iter().enumerate() {
                 for b in &members[a_idx + 1..] {
                     diameter = diameter.max(dist_ms(a, b));

@@ -79,7 +79,6 @@ impl<K: Ord + Clone> RatioMap<K> {
             *v /= total;
         }
         crate::debug_invariant!(
-            // crp-lint: allow(CRP014) — debug-assertions-only invariant check; compiled out in release
             crate::invariant::check_ratio_distribution(entries.values()),
             "RatioMap::from_weights ({} entries)",
             entries.len()
@@ -117,11 +116,15 @@ impl<K: Ord + Clone> RatioMap<K> {
     /// smaller key. This is a node's *strongest mapping*, the quantity
     /// the SMF clustering algorithm orders by.
     pub fn strongest(&self) -> (&K, f64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "construction guarantees at least one entry"
+        )]
         self.entries
             .iter()
             .max_by(|a, b| a.1.total_cmp(b.1).then_with(|| b.0.cmp(a.0)))
             .map(|(k, v)| (k, *v))
-            .expect("ratio maps are non-empty") // crp-lint: allow(CRP001) — construction guarantees at least one entry
+            .expect("ratio maps are non-empty")
     }
 
     /// The Euclidean norm of the ratio vector.
@@ -150,7 +153,6 @@ impl<K: Ord + Clone> RatioMap<K> {
         // Norms are strictly positive by the construction invariant.
         let score = (self.dot(other) / denom).clamp(0.0, 1.0);
         crate::debug_invariant!(
-            // crp-lint: allow(CRP014) — debug-assertions-only invariant check; compiled out in release
             crate::invariant::check_unit_interval(score),
             "RatioMap::cosine_similarity"
         );

@@ -54,7 +54,6 @@ impl<N: Ord> Ranking<N> {
             .collect();
         entries.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         if crate::explain::enabled() {
-            // crp-lint: allow(CRP014) — explain hook behind the enabled() gate; off on serving paths
             crate::explain::record_ranking(&entries);
         }
         crp_telemetry::trace::query_stage(crp_telemetry::stage::CORE_RANK.name);
@@ -62,7 +61,6 @@ impl<N: Ord> Ranking<N> {
             crp_telemetry::observe_unit("core.rank.top_score", *top);
         }
         crate::debug_invariant!(
-            // crp-lint: allow(CRP014) — debug-assertions-only invariant check; compiled out in release
             crate::invariant::check_ranking_scores(entries.iter().map(|(_, s)| s)),
             "Ranking::rank ({} candidates)",
             entries.len()

@@ -225,7 +225,6 @@ where
             .iter()
             .filter_map(|(n, t)| t.ratio_map(self.window, now).ok().map(|m| (n.clone(), m)))
             .collect();
-        // crp-lint: allow(CRP015) — smf's slice indexing is bounds-derived in the same pass; tracked as CRP010 debt in cluster.rs
         Clustering::smf(&nodes, cfg)
     }
 }

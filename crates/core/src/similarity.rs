@@ -53,11 +53,9 @@ impl SimilarityMetric {
             SimilarityMetric::WeightedOverlap => weighted_overlap(a, b),
         };
         if crate::explain::enabled() {
-            // crp-lint: allow(CRP014) — explain hook behind the enabled() gate; off on serving paths
             crate::explain::record_similarity(self, a, b, score);
         }
         crate::debug_invariant!(
-            // crp-lint: allow(CRP014) — debug-assertions-only invariant check; compiled out in release
             crate::invariant::check_unit_interval(score),
             "SimilarityMetric::{self:?}::compare"
         );

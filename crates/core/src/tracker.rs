@@ -62,7 +62,6 @@ impl<K: Ord + Clone> RedirectionTracker<K> {
     /// Creates a tracker with unbounded history.
     pub fn new() -> Self {
         RedirectionTracker {
-            // crp-lint: allow(CRP014) — const empty constructor; nothing is allocated until the first push
             observations: VecDeque::new(),
             capacity: None,
         }
@@ -145,7 +144,6 @@ impl<K: Ord + Clone> RedirectionTracker<K> {
             }
         }
         // First fill (or unbounded tracker): the buffer must be owned.
-        // crp-lint: allow(CRP009) — one-time warm-up copy; steady state recycles evicted buffers
         let owned = servers.to_vec();
         self.observations.push_back(Observation::new(time, owned));
         crp_telemetry::trace::stage_at(time.as_millis(), stage::CORE_TRACKER.name);
@@ -237,7 +235,6 @@ impl<K: Ord + Clone> RedirectionTracker<K> {
             .take(known)
             .skip(skip)
             .filter(move |o| o.time >= min_time);
-        // crp-lint: allow(CRP009) — ratio maps own their keys; one clone per selected event is irreducible
         RatioMap::from_counts(selected.flat_map(|o| o.servers.iter().cloned().map(|s| (s, 1u64))))
     }
 }

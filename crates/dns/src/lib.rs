@@ -26,6 +26,15 @@
 //! # Ok::<(), crp_dns::ParseNameError>(())
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::indexing_slicing,
+    clippy::panic
+)]
+
 pub mod cache;
 pub mod king;
 pub mod name;

@@ -45,7 +45,7 @@ fn main() {
     }
     // Mode 3: passive monitoring of a typical browsing day (bursts of
     // page loads; only cache misses reach the CDN).
-    let mut passive = PassiveMonitor::new(scenario.cdn(), host, names.clone());
+    let mut passive = PassiveMonitor::new(scenario.cdn(), host, names);
     let mut browsing_lookups = 0u64;
     for burst in 0..20u64 {
         let start = SimTime::from_mins(30 + noise::mix(&[args.seed, burst]) % 1_380);

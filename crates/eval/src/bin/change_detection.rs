@@ -178,6 +178,10 @@ fn write_json(
             Value::UInt(eval.false_alarms.len() as u64),
         ),
     ]);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the experiment binary writes its verdict file"
+    )]
     let write = || -> std::io::Result<()> {
         fs::create_dir_all(out_dir)?;
         let json = serde_json::to_string(&document)

@@ -47,6 +47,10 @@ fn main() {
     let dir = std::path::Path::new(&args.out_dir);
     std::fs::create_dir_all(dir).expect("create results directory");
     let path = dir.join(format!("world_seed{}.json", args.seed));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the experiment binary writes the world description"
+    )]
     std::fs::write(&path, json).expect("write world description");
     println!(
         "\n[wrote {} — {} ASes, {} links, {} hosts]",

@@ -171,26 +171,35 @@ pub fn run_closest(cfg: &ClosestConfig) -> ClosestRun {
             continue;
         }
         let order = scenario.rtt_ordered_candidates(client, truth_start, end);
+        #[expect(
+            clippy::expect_used,
+            reason = "order contains every candidate by construction"
+        )]
         let rank_of = |host: HostId| -> usize {
             order
                 .iter()
                 .position(|(c, _)| *c == host)
-                .expect("candidates are ranked") // crp-lint: allow(CRP001) — order contains every candidate by construction
+                .expect("candidates are ranked")
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "order contains every candidate by construction"
+        )]
         let ms_of = |host: HostId| -> f64 {
             order
                 .iter()
                 .find(|(c, _)| *c == host)
-                .expect("candidates are ranked") // crp-lint: allow(CRP001) — order contains every candidate by construction
+                .expect("candidates are ranked")
                 .1
                 .millis()
         };
 
-        let crp_top1 = **ranking.top_k(1).first().expect("non-empty ranking"); // crp-lint: allow(CRP001) — ranking is built from a non-empty candidate list
-                                                                               // Top-5 averages only candidates CRP has signal for (shared
-                                                                               // replicas): zero-similarity entries carry no position
-                                                                               // information, and the paper's semantics for them is "not near",
-                                                                               // never "recommend".
+        #[expect(clippy::expect_used, reason = "empty rankings are skipped above")]
+        let crp_top1 = **ranking.top_k(1).first().expect("non-empty ranking");
+        // Top-5 averages only candidates CRP has signal for (shared
+        // replicas): zero-similarity entries carry no position
+        // information, and the paper's semantics for them is "not near",
+        // never "recommend".
         let top5: Vec<HostId> = ranking
             .entries()
             .iter()
@@ -267,10 +276,11 @@ pub fn average_ranks(
                 .map(|&c| (c, net.rtt(client, c, t).millis()))
                 .collect();
             order.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+            #[expect(clippy::expect_used, reason = "top1 came from this candidate list")]
             let rank = order
                 .iter()
                 .position(|(c, _)| *c == top1)
-                .expect("top1 is a candidate"); // crp-lint: allow(CRP001) — top1 came from this candidate list
+                .expect("top1 is a candidate");
             ranks.push(rank as f64);
         }
         if !ranks.is_empty() {

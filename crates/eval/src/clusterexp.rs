@@ -87,7 +87,11 @@ impl ClusterExpData {
             return 0.0;
         }
         let key = if a <= b { (a, b) } else { (b, a) };
-        *self.king_ms.get(&key).expect("pair measured") // crp-lint: allow(CRP001) — king matrix is precomputed for every pair
+        #[expect(
+            clippy::expect_used,
+            reason = "documented # Panics contract: the King matrix holds every pair of the node set"
+        )]
+        *self.king_ms.get(&key).expect("pair measured")
     }
 
     /// Quality report for a clustering under the King ground truth.

@@ -16,6 +16,12 @@
 //! can be re-run cheaply (`--clients 200 --candidates 60`) or at full
 //! paper scale (the defaults).
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the experiment harness writes the result files"
+)]
+
 /// Every binary linking this crate (the experiment bins, `run_all`, and
 /// `crp-bench`'s `bench_all`) gets the counting global allocator, so
 /// `--observe` attribution and per-iteration allocation pressure

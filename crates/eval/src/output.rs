@@ -43,7 +43,10 @@ pub fn emit<W: io::Write>(
 /// Panics if the directory or file cannot be written — experiment output
 /// is the whole point of the binaries, so failing loudly is correct.
 pub fn write_csv(out_dir: &str, name: &str, header: &str, rows: &[String]) -> PathBuf {
-    // crp-lint: allow(CRP001) — documented panic contract, see above.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented # Panics contract: experiment output is the binaries' purpose"
+    )]
     try_write_csv(out_dir, name, header, rows).expect("write results csv")
 }
 
@@ -87,8 +90,11 @@ pub fn write_gnuplot(
     columns: &[(usize, &str)],
 ) -> PathBuf {
     assert!(!columns.is_empty(), "need at least one column to plot");
+    #[expect(
+        clippy::expect_used,
+        reason = "documented # Panics contract: experiment output is the binaries' purpose"
+    )]
     try_write_gnuplot(out_dir, name, title, ylabel, csv_name, columns)
-        // crp-lint: allow(CRP001) — documented panic contract, see above.
         .expect("write gnuplot script")
 }
 

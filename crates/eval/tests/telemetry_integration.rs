@@ -161,6 +161,10 @@ fn report_rejects_a_manifest_without_summary() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     let manifest = r#"{"experiment":"exp","summary":null,"provenance":null,"timeseries":null,
         "alerts":null,"traces":null,"mem":null,"drift":null,"detect":null}"#;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test plants a manifest for the binary to read"
+    )]
     std::fs::write(dir.join("exp_manifest.json"), manifest).expect("write");
     let status = Command::new(env!("CARGO_BIN_EXE_report"))
         .arg(&dir)

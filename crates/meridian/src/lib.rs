@@ -30,6 +30,13 @@
 //! assert!(members.contains(&result.selected));
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 pub mod faults;
 pub mod overlay;
 pub mod rings;

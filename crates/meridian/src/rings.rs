@@ -182,17 +182,25 @@ where
             if chosen.contains(&i) {
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "chosen starts with one seed member, never empty"
+            )]
             let min_d = chosen
                 .iter()
                 .map(|&c| inter_rtt(*host, members[c].0))
                 .min()
-                .expect("chosen is non-empty"); // crp-lint: allow(CRP001) — chosen starts with one seed member, never empty
+                .expect("chosen is non-empty");
             if best_idx.is_none() || min_d > best_min {
                 best_min = min_d;
                 best_idx = Some(i);
             }
         }
-        chosen.push(best_idx.expect("members remain")); // crp-lint: allow(CRP001) — loop runs only while unchosen members remain
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop runs only while unchosen members remain"
+        )]
+        chosen.push(best_idx.expect("members remain"));
     }
     chosen.sort_unstable();
     chosen.into_iter().map(|i| members[i]).collect()
@@ -291,7 +299,7 @@ pub(crate) mod tests_support {
     use std::sync::OnceLock;
 
     /// Returns the `i`-th host id of a lazily-built scratch network.
-    pub fn host_id(i: u32) -> HostId {
+    pub(crate) fn host_id(i: u32) -> HostId {
         static IDS: OnceLock<Vec<HostId>> = OnceLock::new();
         IDS.get_or_init(|| {
             let mut net = NetworkBuilder::new(0xFEED)

@@ -127,8 +127,12 @@ impl Network {
         }
         let mut path = vec![to];
         let mut cur = to.index() as u32;
+        #[expect(
+            clippy::expect_used,
+            reason = "BFS parents cover every AS: the topology is connected by construction"
+        )]
         while cur != from.index() as u32 {
-            cur = parent[cur as usize].expect("graph is connected"); // crp-lint: allow(CRP001) — BFS parents cover every AS: topology is connected by construction
+            cur = parent[cur as usize].expect("graph is connected");
             path.push(self.ases()[cur as usize].id());
         }
         path.reverse();

@@ -177,11 +177,15 @@ impl Region {
     }
 
     /// Stable small integer used to derive noise streams.
+    #[expect(
+        clippy::expect_used,
+        reason = "every Region variant appears in Region::ALL"
+    )]
     pub fn index(self) -> u64 {
         Region::ALL
             .iter()
             .position(|r| *r == self)
-            .expect("region in ALL") as u64 // crp-lint: allow(CRP001) — every Region variant appears in Region::ALL
+            .expect("region in ALL") as u64
     }
 }
 

@@ -171,14 +171,12 @@ impl Network {
         crp_telemetry::counter_add("netsim.rtt_samples", 1);
         let host = self.host(a);
         let region = host.region().slug();
-        // crp-lint: allow(CRP014) — region-keyed counter name, built only when telemetry is enabled
         crp_telemetry::counter_add(&format!("netsim.rtt_samples.region.{region}"), 1);
-        let tier = match self.ases()[host.asn().index() as usize].tier() {
+        let tier = match self.ases()[host.asn().index()].tier() {
             crate::topology::AsTier::Tier1 => "tier1",
             crate::topology::AsTier::Transit => "transit",
             crate::topology::AsTier::Stub => "stub",
         };
-        // crp-lint: allow(CRP014) — tier-keyed counter name, built only when telemetry is enabled
         crp_telemetry::counter_add(&format!("netsim.rtt_samples.tier.{tier}"), 1);
     }
 
@@ -281,7 +279,8 @@ impl Network {
                 SimTime::from_millis(start.as_millis() + i as u64 * step),
             )
         });
-        Rtt::mean(rtts).expect("samples > 0") // crp-lint: allow(CRP001) — samples >= 1, so the mean exists
+        #[expect(clippy::expect_used, reason = "samples >= 1, so the mean exists")]
+        Rtt::mean(rtts).expect("samples > 0")
     }
 }
 

@@ -31,6 +31,14 @@
 //! assert!(rtt.millis() > 0.0);
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::iter_over_hash_type
+)]
+
 pub mod describe;
 pub mod diagnostics;
 pub mod geo;

@@ -172,7 +172,11 @@ impl PopulationSpec {
             }
             draw -= w;
         }
-        self.weights.last().expect("weights non-empty").0 // crp-lint: allow(CRP001) — weights are validated non-empty at construction
+        #[expect(
+            clippy::expect_used,
+            reason = "weights are validated non-empty at construction"
+        )]
+        self.weights.last().expect("weights non-empty").0
     }
 }
 

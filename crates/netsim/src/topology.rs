@@ -319,12 +319,19 @@ impl NetworkBuilder {
                     congestion_scale: rng.random_range(0.5..1.2),
                     reach_km,
                 });
-                let primary = *transits.choose(&mut rng).expect("transit ASes exist"); // crp-lint: allow(CRP001) — transit tier is non-empty for any valid spec
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the transit tier is non-empty for any valid spec"
+                )]
+                let primary = *transits.choose(&mut rng).expect("transit ASes exist");
                 edges.push((primary, id));
+                #[expect(
+                    clippy::expect_used,
+                    reason = "both draws are guarded by transits.len() > 1"
+                )]
                 if rng.random_bool(0.35) && transits.len() > 1 {
-                    let mut secondary = *transits.choose(&mut rng).expect("nonempty"); // crp-lint: allow(CRP001) — guarded by transits.len() > 1
+                    let mut secondary = *transits.choose(&mut rng).expect("nonempty");
                     while secondary == primary {
-                        // crp-lint: allow(CRP001) — guarded by transits.len() > 1
                         secondary = *transits.choose(&mut rng).expect("nonempty");
                     }
                     edges.push((secondary, id));
@@ -520,7 +527,8 @@ impl Network {
         } else {
             candidates
         };
-        let asn = *pool.choose(&mut self.host_rng).expect("region has ASes"); // crp-lint: allow(CRP001) — every region receives at least one AS
+        #[expect(clippy::expect_used, reason = "every region receives at least one AS")]
+        let asn = *pool.choose(&mut self.host_rng).expect("region has ASes");
         let reach = spread_km.unwrap_or(self.ases[asn.index()].reach_km);
         // Most hosts live in cities: pick a metro within the AS's reach
         // of its PoP (falling back to the nearest metro) and jitter
@@ -536,6 +544,7 @@ impl Network {
                 .copied()
                 .filter(|m| pop.great_circle_km(*m) <= reach)
                 .collect();
+            #[expect(clippy::expect_used, reason = "every region has at least one metro")]
             let metro = if in_reach.is_empty() {
                 *region_metros
                     .iter()
@@ -543,7 +552,7 @@ impl Network {
                         pop.great_circle_km(**a)
                             .total_cmp(&pop.great_circle_km(**b))
                     })
-                    .expect("regions have metros") // crp-lint: allow(CRP001) — every region has at least one metro
+                    .expect("regions have metros")
             } else {
                 in_reach[self.host_rng.random_range(0..in_reach.len())]
             };

@@ -23,13 +23,15 @@
 //! collector. When no collector is installed every call is a single
 //! relaxed load of the [armed mask](mod@stage) and an early return. Library
 //! crates never write telemetry to files themselves — the JSONL sink in
-//! this crate is the only sanctioned path (lint rule CRP006).
+//! this crate is the only sanctioned path (`clippy.toml` disallows file
+//! writes elsewhere).
 //!
 //! Pipeline stages are named once, in the [`stage`](mod@stage) registry, and
 //! `stage!(CORE_RANK)` feeds that name to every armed observer,
 //! including the deliberately separate **wall-clock** [`profile`] and
 //! [`mem`] attribution layers, which never touch the record stream or
-//! the metric registers (lint rule CRP007 bounds the wall clock).
+//! the metric registers (`clippy.toml` disallows wall-clock reads
+//! elsewhere).
 //!
 //! # Example
 //!
@@ -50,6 +52,14 @@
 //! assert_eq!(summary.counter("event.probe.round"), Some(1));
 //! assert_eq!(records.lock().unwrap().len(), 1);
 //! ```
+
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::iter_over_hash_type
+)]
 
 pub mod alert;
 pub mod mem;
@@ -111,7 +121,6 @@ impl Collector {
         if let Some(v) = self.counters.get_mut(name) {
             *v = v.saturating_add(delta);
         } else {
-            // crp-lint: allow(CRP014) — first-touch counter registration; steady-state bumps take the get_mut arm
             self.counters.insert(name.to_owned(), delta);
         }
     }
@@ -141,10 +150,8 @@ impl Collector {
         if let Some(h) = self.histograms.get_mut(name) {
             h.record(value);
         } else {
-            // crp-lint: allow(CRP014) — first-touch histogram construction; steady-state records take the get_mut arm
             let mut h = Histogram::new(bounds);
             h.record(value);
-            // crp-lint: allow(CRP014) — first-touch histogram registration; steady-state records take the get_mut arm
             self.histograms.insert(name.to_owned(), h);
         }
     }

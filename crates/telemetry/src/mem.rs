@@ -94,15 +94,14 @@ struct DomainStats {
 
 impl DomainStats {
     const fn new() -> DomainStats {
-        const ZERO: AtomicU64 = AtomicU64::new(0);
         DomainStats {
             live: AtomicI64::new(0),
             peak: AtomicI64::new(0),
-            total: ZERO,
-            allocs: ZERO,
-            deallocs: ZERO,
-            reallocs: ZERO,
-            classes: [ZERO; SIZE_CLASSES],
+            total: AtomicU64::new(0),
+            allocs: AtomicU64::new(0),
+            deallocs: AtomicU64::new(0),
+            reallocs: AtomicU64::new(0),
+            classes: [const { AtomicU64::new(0) }; SIZE_CLASSES],
         }
     }
 
@@ -119,8 +118,7 @@ impl DomainStats {
     }
 }
 
-const STATS_INIT: DomainStats = DomainStats::new();
-static STATS: [DomainStats; MAX_DOMAINS] = [STATS_INIT; MAX_DOMAINS];
+static STATS: [DomainStats; MAX_DOMAINS] = [const { DomainStats::new() }; MAX_DOMAINS];
 
 /// Registered domain names, index `i` naming stats slot `i + 1`.
 /// Cold path only: taken at registration and snapshot time, never from
@@ -447,7 +445,6 @@ pub const HASH_MAP_ENTRY_OVERHEAD: usize = 24;
 
 /// Deep size of a `Vec`'s heap buffer (capacity, not length — slack is
 /// resident too). Element-owned heap data must be added by the caller.
-#[allow(clippy::ptr_arg)]
 pub fn vec_footprint<T>(v: &Vec<T>) -> usize {
     v.capacity() * std::mem::size_of::<T>()
 }
@@ -626,7 +623,7 @@ mod tests {
                 42
             }
         }
-        let f = Fixed;
-        assert_eq!((&f).mem_footprint(), 42);
+        let f = &Fixed;
+        assert_eq!(MemFootprint::mem_footprint(&f), 42);
     }
 }

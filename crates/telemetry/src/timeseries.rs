@@ -102,9 +102,7 @@ impl Window {
             sum: 0.0,
             min: 0.0,
             max: 0.0,
-            // crp-lint: allow(CRP014) — bucket storage allocated at series/tier first touch only
             buckets: vec![0; n_buckets],
-            // crp-lint: allow(CRP014) — const empty vec; nothing is allocated until the first exemplar
             exemplars: Vec::new(),
         }
     }
@@ -136,7 +134,6 @@ impl Window {
             if let Some(slot) = self.exemplars.iter_mut().find(|(b, _)| *b == bucket) {
                 slot.1 = exemplar; // latest wins within a bucket
             } else if self.exemplars.len() < max_exemplars * self.buckets.len() {
-                // crp-lint: allow(CRP014) — exemplar append capped at max_exemplars per bucket
                 self.exemplars.push((bucket, exemplar));
             }
         }
@@ -220,7 +217,6 @@ impl Tier {
     fn new(spec: TierSpec, n_buckets: usize) -> Self {
         Tier {
             window_ms: spec.window_ms.max(1),
-            // crp-lint: allow(CRP014) — tier ring allocated once at series first touch; series count capped at max_series
             slots: vec![Window::empty(n_buckets); spec.slots.max(1)],
         }
     }
@@ -233,9 +229,7 @@ impl Tier {
         let Some(slot) = self.slots.get_mut(idx) else {
             return false;
         };
-        if slot.count == 0 && slot.start_ms == 0 {
-            slot.reset(start);
-        } else if slot.start_ms < start {
+        if (slot.count == 0 && slot.start_ms == 0) || slot.start_ms < start {
             slot.reset(start);
         } else if slot.start_ms > start {
             return false;
@@ -327,11 +321,8 @@ impl TimeSeriesStore {
                     .config
                     .tiers
                     .iter()
-                    // crp-lint: allow(CRP014) — first-touch tier construction, capped at max_series
                     .map(|spec| Tier::new(*spec, n_buckets))
-                    // crp-lint: allow(CRP014) — first-touch series creation, capped at max_series
                     .collect();
-                // crp-lint: allow(CRP014) — first-touch series creation, capped at max_series
                 self.series.entry(name.to_owned()).or_insert(Series {
                     total: Window::empty(n_buckets),
                     tiers,

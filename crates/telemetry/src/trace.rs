@@ -320,7 +320,7 @@ pub fn begin(id: TraceId, time_ms: u64, root: &'static str) {
     let mut slot = trace_slot();
     let Some(store) = slot.as_mut() else { return };
     store.minted += 1;
-    if mix64(id.0) % store.config.sample_one_in.max(1) != 0 {
+    if !mix64(id.0).is_multiple_of(store.config.sample_one_in.max(1)) {
         CURRENT.store(0, Ordering::Relaxed);
         return;
     }
@@ -366,7 +366,6 @@ pub fn stage_at(time_ms: u64, name: &'static str) {
     let max = store.config.max_spans_per_trace;
     if let Some(&idx) = store.index.get(&raw) {
         if let Some(t) = store.traces.get_mut(idx) {
-            // crp-lint: allow(CRP014) — span append into a buffer capped at max_spans_per_trace, sampled traces only
             t.push(time_ms, name, max);
         }
     }
@@ -388,11 +387,9 @@ pub fn resume(raw: u64, time_ms: u64, name: &'static str) {
     };
     let max = store.config.max_spans_per_trace;
     if let Some(t) = store.traces.get_mut(idx) {
-        // crp-lint: allow(CRP014) — span append into a buffer capped at max_spans_per_trace, sampled traces only
         t.push(time_ms, name, max);
     }
     if !store.query_set.contains(&idx) {
-        // crp-lint: allow(CRP014) — query set is bounded by the sampled-trace cap and cleared per query scope
         store.query_set.push(idx);
     }
     CURRENT.store(raw, Ordering::Relaxed);
@@ -426,7 +423,6 @@ pub fn query_stage(name: &'static str) {
             break;
         };
         if let Some(t) = store.traces.get_mut(idx) {
-            // crp-lint: allow(CRP014) — span append into a buffer capped at max_spans_per_trace, sampled traces only
             t.push(time, name, max);
         }
     }

@@ -69,6 +69,13 @@
 //! # Ok::<(), crp_core::RatioMapError>(())
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 pub mod detour;
 pub mod names;
 pub mod passive;

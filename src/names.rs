@@ -54,9 +54,13 @@ impl NameAssessment {
     /// Panics if this assessment was produced passively (no RTTs were
     /// measured); callers choose one policy up front.
     pub fn passes_active(&self, max_mean_rtt_ms: f64) -> bool {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented # Panics contract: the active policy measured replica RTTs"
+        )]
         let rtt = self
             .mean_replica_rtt_ms
-            .expect("active policy measured replica RTTs"); // crp-lint: allow(CRP001) — documented # Panics contract: active policy requires measured RTTs
+            .expect("active policy measured replica RTTs");
         self.passes_passive() && rtt <= max_mean_rtt_ms
     }
 }

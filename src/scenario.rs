@@ -125,10 +125,14 @@ impl Scenario {
         if let Some(script) = &cfg.events {
             script.stage(&mut cdn);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "customer names come from the validated config"
+        )]
         let names = cfg
             .customer_names
             .iter()
-            .map(|n| cdn.add_customer(n).expect("customer names are valid")) // crp-lint: allow(CRP001) — customer names come from the validated config
+            .map(|n| cdn.add_customer(n).expect("customer names are valid"))
             .collect();
         let event_log = cfg
             .events

@@ -167,8 +167,6 @@ fn window_larger_than_history_and_empty_window_behave() {
     assert!(service.ratio_map(&client, end).is_ok());
 
     // A max-age window entirely in the past selects nothing.
-    let stale = service
-        .clone()
-        .with_window(WindowPolicy::MaxAge(SimDuration::from_secs(1)));
+    let stale = service.with_window(WindowPolicy::MaxAge(SimDuration::from_secs(1)));
     assert!(stale.ratio_map(&client, SimTime::from_hours(50)).is_err());
 }

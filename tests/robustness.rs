@@ -43,7 +43,7 @@ fn maps_adapt_across_a_replica_outage() {
 
     // Kill the dominant replica for day two and keep observing.
     cdn.schedule_outage(dominant, SimTime::from_hours(4), SimTime::from_hours(400));
-    let mut probe = CdnProbe::new(&cdn, client, vec![name.clone()]);
+    let mut probe = CdnProbe::new(&cdn, client, vec![name]);
     let mut after_service: CrpService<HostId, ReplicaId> =
         CrpService::new(WindowPolicy::LastProbes(12), SimilarityMetric::Cosine);
     for t in SimTime::from_hours(4).iter_until(SimTime::from_hours(8), SimDuration::from_mins(10)) {
