@@ -1,29 +1,37 @@
-//! Online change detection over ratio-map history.
+//! Change detection over ratio-map history: the one answer to "did the
+//! CDN move under us?".
 //!
-//! [`drift`](crate::drift) diffs consecutive snapshots and reports raw
-//! movement. This module turns that movement into *localized change
-//! records*: a [`ChangeDetector`] consumes per-window, per-scope drift
-//! statistics as a stream and raises [`DetectedChange`]s — onset time,
-//! affected scope (region label or `"global"`), implicated replicas, and
-//! a class from a small taxonomy ([`ChangeClass`]) — with EWMA baselines,
-//! warmup, and per-(class, scope) cooldowns for false-alarm control.
-//! This is the YouLighter framing: unsupervised detection of CDN
-//! infrastructure changes from passively observed redirections alone.
+//! [`scan`] replays a recorded [`CrpService`] history at a SimTime
+//! ladder (read-only, SimTime-keyed — running it cannot perturb
+//! experiment output) and diffs each snapshot against a lagged earlier
+//! one. Every window records, per scope (region label or `"global"`),
+//! the raw movement — mean L1 between the maps, hosts whose map moved
+//! by more than [`DRIFT_L1`], hosts whose strongest replica changed,
+//! ratio-map support, never-seen replicas — plus the YouLighter-style
+//! cluster distance (1 − [`rand_index`]) when clustering is on.
 //!
-//! [`scan`] is the batch driver: it replays a recorded [`CrpService`]
-//! history through the detector at a SimTime ladder (read-only,
-//! SimTime-keyed — running it cannot perturb experiment output) and
-//! returns a serializable [`DetectionReport`]. Per-window signals are
-//! emitted as `detect.*` metrics so the crp-telemetry alert engine's
-//! default rules can fire on them.
+//! A [`ChangeDetector`] consumes those windows as a stream and raises
+//! *localized change records* ([`DetectedChange`]) — onset time,
+//! affected scope, implicated replicas, and a class from a small
+//! taxonomy ([`ChangeClass`]) — with EWMA baselines, warmup, and
+//! per-(class, scope) cooldowns for false-alarm control. This is the
+//! YouLighter framing: unsupervised detection of CDN infrastructure
+//! changes from passively observed redirections alone. The returned
+//! [`DetectionReport`] holds both the windows and the changes; the
+//! run report's `drift-within-bounds` verdict reads its
+//! `drifted_fraction`s.
 
-use crate::drift::rand_index;
 use crp_core::cluster::{Clustering, SmfConfig};
 use crp_core::{CrpService, RatioMap};
 use crp_netsim::{SimDuration, SimTime};
+use crp_telemetry::MemFootprint;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
+
+/// L1 distance between a host's two maps (L1 over ratio maps is in
+/// `[0, 2]`) above which the host counts as drifted in a window.
+pub const DRIFT_L1: f64 = 0.5;
 
 /// The change taxonomy a detection is classified into.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -86,6 +94,10 @@ pub struct GroupWindow {
     pub hosts_compared: u64,
     /// Mean per-host L1 distance between the edges.
     pub mean_l1: f64,
+    /// Hosts whose L1 distance between the edges exceeds [`DRIFT_L1`].
+    pub drifted_hosts: u64,
+    /// `drifted_hosts / hosts_compared` (0 when empty).
+    pub drifted_fraction: f64,
     /// Hosts whose strongest replica changed at all (includes tie
     /// flapping between near-equal replicas).
     pub strongest_changed: u64,
@@ -154,12 +166,25 @@ pub struct DetectionReport {
     pub windows: Vec<DetectWindow>,
     /// Every change raised, in time order.
     pub changes: Vec<DetectedChange>,
+    /// Memory footprint of each snapshot's clustering in bytes, in
+    /// snapshot order; empty when clustering is off.
+    pub clustering_bytes: Vec<u64>,
 }
 
 impl DetectionReport {
     /// Changes of one class.
     pub fn of_class(&self, class: ChangeClass) -> impl Iterator<Item = &DetectedChange> {
         self.changes.iter().filter(move |c| c.class == class)
+    }
+
+    /// The largest `drifted_fraction` of the `"global"` group across
+    /// all windows (0 with no windows).
+    pub fn max_drifted_fraction(&self) -> f64 {
+        self.windows
+            .iter()
+            .filter_map(|w| w.group("global"))
+            .map(|g| g.drifted_fraction)
+            .fold(0.0, f64::max)
     }
 }
 
@@ -530,13 +555,55 @@ impl ChangeDetector {
     }
 }
 
+/// The Rand index between two clusterings over `nodes`: the fraction of
+/// node pairs on which the clusterings agree (together in both, or apart
+/// in both). 1 means identical partitions.
+pub fn rand_index<N: Ord + Clone>(a: &Clustering<N>, b: &Clustering<N>, nodes: &[N]) -> f64 {
+    if nodes.len() < 2 {
+        return 1.0;
+    }
+    fn assignments<N: Ord + Clone>(c: &Clustering<N>) -> BTreeMap<&N, usize> {
+        let mut out = BTreeMap::new();
+        for (i, cluster) in c.clusters().iter().enumerate() {
+            for m in cluster.members() {
+                out.insert(m, i);
+            }
+        }
+        out
+    }
+    let ca = assignments(a);
+    let cb = assignments(b);
+    let mut agree = 0u64;
+    let mut total = 0u64;
+    for i in 0..nodes.len() {
+        for j in (i + 1)..nodes.len() {
+            let (ni, nj) = (&nodes[i], &nodes[j]);
+            let (Some(ai), Some(aj), Some(bi), Some(bj)) =
+                (ca.get(ni), ca.get(nj), cb.get(ni), cb.get(nj))
+            else {
+                continue;
+            };
+            total += 1;
+            if (ai == aj) == (bi == bj) {
+                agree += 1;
+            }
+        }
+    }
+    if total == 0 {
+        1.0
+    } else {
+        agree as f64 / total as f64
+    }
+}
+
 /// Replays `service`'s recorded history through a [`ChangeDetector`].
 ///
 /// `hosts` pairs each host with its scope label (typically the region
 /// slug); per-window statistics are computed for every scope plus a
 /// synthetic `"global"` scope over all hosts. The scan is read-only and
-/// SimTime-keyed. Per-window `detect.*` metrics and per-change
-/// `detect.change` events are emitted when telemetry is collecting.
+/// SimTime-keyed, and writes nothing to the time series: per-change
+/// `detect.change` events and the `audit.detect.*` counters are emitted
+/// when telemetry is collecting.
 ///
 /// # Panics
 ///
@@ -654,15 +721,6 @@ where
         };
 
         let raised = detector.push(&window);
-        if let Some(global) = window.group("global") {
-            crp_telemetry::observe_at(
-                window.to_ms,
-                "detect.remap_fraction",
-                global.strongest_changed_fraction,
-            );
-            crp_telemetry::observe_at(window.to_ms, "detect.drift_level", global.mean_l1);
-        }
-        crp_telemetry::observe_at(window.to_ms, "detect.changes_raised", raised.len() as f64);
         crp_telemetry::counter_add("audit.detect.windows", 1);
         for change in &raised {
             crp_telemetry::counter_add("audit.detect.changes", 1);
@@ -688,6 +746,11 @@ where
         snapshots: snapshots.len() as u64,
         windows,
         changes,
+        clustering_bytes: snapshots
+            .iter()
+            .filter_map(|s| s.clustering.as_ref())
+            .map(|c| c.mem_footprint() as u64)
+            .collect(),
     }
 }
 
@@ -710,6 +773,7 @@ where
     let fresh_weight = detector.cfg.fresh_weight;
     let mut compared = 0u64;
     let mut l1_sum = 0.0;
+    let mut drifted = 0u64;
     let mut support_sum = 0u64;
     let mut prev_support_sum = 0u64;
     let mut changed = 0u64;
@@ -721,7 +785,11 @@ where
             continue;
         };
         compared += 1;
-        l1_sum += m0.l1_distance(m1);
+        let l1 = m0.l1_distance(m1);
+        l1_sum += l1;
+        if l1 > DRIFT_L1 {
+            drifted += 1;
+        }
         support_sum += m1.len() as u64;
         prev_support_sum += m0.len() as u64;
         let old_strongest = m0.strongest().0;
@@ -766,6 +834,8 @@ where
         } else {
             l1_sum / compared as f64
         },
+        drifted_hosts: drifted,
+        drifted_fraction: frac(drifted),
         strongest_changed: changed,
         strongest_changed_fraction: frac(changed),
         decisive_changed: decisive,
@@ -875,6 +945,78 @@ mod tests {
         let report = scan(&svc, &hosts, &cfg());
         assert!(report.changes.is_empty(), "{:?}", report.changes);
         assert_eq!(report.windows.len() as u64, report.snapshots - 1);
+    }
+
+    /// Three hosts in one scope, probed every 10 minutes for 4 hours
+    /// under a window policy short enough that a change shows in the
+    /// maps within the hour; `replica(m)` answers probe `m`.
+    fn three_hosts(
+        replica: fn(u64) -> &'static str,
+    ) -> (
+        CrpService<&'static str, &'static str>,
+        Vec<(&'static str, String)>,
+    ) {
+        let mut svc = CrpService::new(WindowPolicy::LastProbes(4), SimilarityMetric::Cosine);
+        for h in ["a", "b", "c"] {
+            for m in 0..24u64 {
+                svc.record(h, SimTime::from_mins(m * 10), vec![replica(m)]);
+            }
+        }
+        let hosts = ["a", "b", "c"].map(|h| (h, "east".to_owned())).to_vec();
+        (svc, hosts)
+    }
+
+    #[test]
+    fn drifted_fraction_marks_only_the_flip_window() {
+        // Every host flips from "r1" to "r2" at hour 2.
+        let (svc, hosts) = three_hosts(|m| if m < 12 { "r1" } else { "r2" });
+        let mut c = DetectConfig::new(hour(1), hour(4), SimDuration::from_hours(1));
+        c.lag_windows = 1;
+        let report = scan(&svc, &hosts, &c);
+        let global: Vec<&GroupWindow> = report
+            .windows
+            .iter()
+            .filter_map(|w| w.group("global"))
+            .collect();
+        let drifted: Vec<f64> = global.iter().map(|g| g.drifted_fraction).collect();
+        assert_eq!(drifted, [0.0, 1.0, 0.0], "{report:?}");
+        assert_eq!(global[1].drifted_hosts, 3);
+        assert_eq!(global[1].strongest_changed, 3);
+        assert_eq!(report.max_drifted_fraction(), 1.0);
+        // Clustering is off by default: no churn, no footprints.
+        assert!(report.windows.iter().all(|w| w.cluster_distance < 0.0));
+        assert!(report.clustering_bytes.is_empty());
+    }
+
+    #[test]
+    fn stable_history_has_no_movement() {
+        let (svc, hosts) = three_hosts(|_| "r1");
+        let mut c = DetectConfig::new(hour(1), hour(4), SimDuration::from_hours(1));
+        c.lag_windows = 1;
+        c.smf = Some(SmfConfig::paper(0.1));
+        let report = scan(&svc, &hosts, &c);
+        assert_eq!(report.windows.len(), 3);
+        assert_eq!(report.clustering_bytes.len(), 4, "one per snapshot");
+        for w in &report.windows {
+            for g in &w.groups {
+                assert_eq!(g.mean_l1, 0.0, "{g:?}");
+                assert_eq!(g.strongest_changed, 0, "{g:?}");
+                assert_eq!(g.drifted_fraction, 0.0, "{g:?}");
+            }
+            // Identical snapshots cluster identically: zero churn.
+            assert!(w.cluster_distance.abs() < 1e-12, "{w:?}");
+        }
+    }
+
+    #[test]
+    fn rand_index_agrees_with_hand_computation() {
+        let a = Clustering::from_groups(vec![vec!["a", "b"], vec!["c"]]);
+        let b = Clustering::from_groups(vec![vec!["a"], vec!["b"], vec!["c"]]);
+        let nodes = ["a", "b", "c"];
+        // Pairs: (a,b) together/apart (disagree), (a,c) apart/apart,
+        // (b,c) apart/apart → 2/3 agreement.
+        assert!((rand_index(&a, &b, &nodes) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(rand_index(&a, &a, &nodes), 1.0);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! the file plumbing. Four verdicts, matching the failure modes the
 //! observers exist to catch:
 //!
-//! * **drift-within-bounds** — no window drifted more of the population
-//!   than the bound allows (detected remap events are *reported*, not
-//!   failed: a remap the monitor saw is a remap that can be correlated
-//!   with a ranking regression);
+//! * **drift-within-bounds** — no detection window drifted more of the
+//!   population than the bound allows (changes the detector raised are
+//!   *reported*, not failed: a change the monitor saw is a change that
+//!   can be correlated with a ranking regression);
 //! * **no-unexplained-tail-errors** — every recorded rank inversion in
 //!   the selection experiments carries a structural explanation
 //!   (no shared replicas, weak signal), up to a small tolerance;
@@ -22,7 +22,7 @@
 //!
 //! A verdict with nothing to judge passes as explicitly *skipped*.
 
-use crate::drift::DriftTimeline;
+use crate::detect::DetectionReport;
 use crp_telemetry::{TelemetrySummary, TimeSeriesExport};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -56,36 +56,37 @@ fn skipped(name: &str, why: &str) -> HealthVerdict {
     }
 }
 
-/// Judges every drift timeline against `max_drifted_fraction`: the run
-/// is healthy when no window saw more than that fraction of hosts drift
-/// past the L1 threshold. `timelines` pairs each experiment name with
-/// its timeline; an empty slice passes as skipped (no drift scan ran).
+/// Judges every detection report against `max_drifted_fraction`: the
+/// run is healthy when no window's `global` group saw more than that
+/// fraction of hosts drift past [`DRIFT_L1`](crate::detect::DRIFT_L1).
+/// `reports` pairs each experiment name with its report; an empty slice
+/// passes as skipped (no detection scan ran).
 pub fn drift_within_bounds(
-    timelines: &[(&str, &DriftTimeline)],
+    reports: &[(&str, &DetectionReport)],
     max_drifted_fraction: f64,
 ) -> HealthVerdict {
     let name = "drift-within-bounds";
-    if timelines.is_empty() {
-        return skipped(name, "no drift timelines recorded");
+    if reports.is_empty() {
+        return skipped(name, "no detection reports recorded");
     }
     let mut worst: f64 = 0.0;
     let mut worst_name = "";
-    let mut remaps = 0u64;
-    for (experiment, t) in timelines {
-        let f = t.max_drifted_fraction();
+    let mut changes = 0u64;
+    for (experiment, r) in reports {
+        let f = r.max_drifted_fraction();
         if f >= worst {
             worst = f;
             worst_name = experiment;
         }
-        remaps += t.remap_events.len() as u64;
+        changes += r.changes.len() as u64;
     }
     HealthVerdict {
         name: name.to_owned(),
         passed: worst <= max_drifted_fraction,
         detail: format!(
             "max drifted fraction {worst:.3} (bound {max_drifted_fraction:.3}) in {worst_name}; \
-             {remaps} remap event(s) detected across {} timeline(s)",
-            timelines.len()
+             {changes} change(s) raised across {} detection report(s)",
+            reports.len()
         ),
     }
 }
@@ -270,49 +271,64 @@ pub fn timeseries_lossless(stores: &[(&str, &TimeSeriesExport)], max_lost: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drift::{DriftWindow, RemapEvent};
+    use crate::detect::{ChangeClass, DetectWindow, DetectedChange, GroupWindow};
     use crp_telemetry::CounterEntry;
 
-    fn timeline(drifted_fraction: f64, remaps: usize) -> DriftTimeline {
-        DriftTimeline {
+    /// A one-window report whose global group drifted `drifted_fraction`
+    /// of its 20 hosts, with `changes` raised changes.
+    fn report(drifted_fraction: f64, changes: usize) -> DetectionReport {
+        DetectionReport {
             interval_ms: 3_600_000,
-            l1_threshold: 0.5,
-            remap_fraction: 0.2,
             snapshots: 2,
-            windows: vec![DriftWindow {
+            windows: vec![DetectWindow {
                 from_ms: 0,
                 to_ms: 3_600_000,
-                hosts_compared: 10,
-                mean_l1: 0.1,
-                max_l1: 0.9,
-                mean_cosine_distance: 0.05,
-                drifted_hosts: (drifted_fraction * 10.0) as u64,
-                drifted_fraction,
-                strongest_changed: 2,
-                strongest_changed_fraction: 0.2,
-                cluster_distance: 0.1,
-                clusters_from: 3,
-                clusters_to: 3,
+                cluster_distance: -1.0,
+                groups: vec![GroupWindow {
+                    scope: "global".to_owned(),
+                    hosts_compared: 20,
+                    drifted_hosts: (drifted_fraction * 20.0).round() as u64,
+                    drifted_fraction,
+                    ..GroupWindow::default()
+                }],
             }],
-            remap_events: (0..remaps)
-                .map(|i| RemapEvent {
-                    at_ms: 3_600_000 * (i as u64 + 1),
-                    strongest_changed_fraction: 0.5,
+            changes: (0..changes)
+                .map(|i| DetectedChange {
+                    onset_ms: 0,
+                    detected_ms: 3_600_000 * (i as u64 + 1),
+                    class: ChangeClass::MassRemap,
+                    scope: "global".to_owned(),
                     hosts_affected: 5,
+                    magnitude: 0.5,
+                    replicas: Vec::new(),
                 })
                 .collect(),
+            clustering_bytes: Vec::new(),
         }
     }
 
     #[test]
     fn drift_verdict_bounds() {
-        let ok = drift_within_bounds(&[("fig4", &timeline(0.2, 1))], 0.5);
+        let ok = drift_within_bounds(&[("fig4", &report(0.75, 1))], 0.75);
         assert!(ok.passed, "{ok:?}");
-        assert!(ok.detail.contains("1 remap event(s)"));
-        let bad = drift_within_bounds(&[("fig4", &timeline(0.9, 0))], 0.5);
+        assert!(ok.detail.contains("1 change(s) raised"), "{ok:?}");
+        let bad = drift_within_bounds(&[("fig4", &report(0.76, 0))], 0.75);
         assert!(!bad.passed);
-        assert!(bad.detail.contains("fig4"));
-        let skipped = drift_within_bounds(&[], 0.5);
+        assert!(
+            bad.detail
+                .starts_with("max drifted fraction 0.760 (bound 0.750) in fig4"),
+            "{bad:?}"
+        );
+        // A regional group drifting past the bound is not the verdict's
+        // business; the global group judges the population.
+        let mut regional = report(0.1, 0);
+        regional.windows[0].groups.push(GroupWindow {
+            scope: "eu".to_owned(),
+            drifted_fraction: 1.0,
+            ..GroupWindow::default()
+        });
+        assert!(drift_within_bounds(&[("fig4", &regional)], 0.75).passed);
+        let skipped = drift_within_bounds(&[], 0.75);
         assert!(skipped.passed);
         assert!(skipped.detail.starts_with("skipped"));
     }

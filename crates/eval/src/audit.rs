@@ -1,15 +1,16 @@
 //! Run-health plumbing: the tail-inversion classification the
-//! selection experiments record, and the join that turns an observed
-//! run's manifests into `run_report.json`.
+//! selection experiments record, the region scopes their detection
+//! scans localize changes to, and the join that turns an observed run's
+//! manifests into `run_report.json`.
 //!
 //! The division of labour mirrors `telemetry.rs`: the *judgement* logic
 //! (what counts as drift, what counts as healthy) lives in
 //! [`crp_audit::report`] where it is unit-testable without files; this
 //! module feeds it. [`run_report`] computes the four run-health verdicts
 //! over the runs [`crate::telemetry::load`] read back, and rolls the
-//! manifests up — combined summary, per-run time-series drops, firing
-//! alert rules, attributed allocation fractions, provenance counts,
-//! drift events — next to the caller's wall-clock rows and failures.
+//! manifests up — combined summary, per-run time-series drops,
+//! attributed allocation fractions, provenance counts, raised changes —
+//! next to the caller's wall-clock rows and failures.
 //! The full sections stay in the manifests. The `report` binary and
 //! `run_all` both write the result to `<out>/run_report.json`
 //! ([`write_run_report`]).
@@ -19,19 +20,21 @@
 
 use crate::closest::ClientOutcome;
 use crate::telemetry::{ObservedRun, RunManifest};
-use crp_audit::drift::DriftTimeline;
+use crp::Scenario;
+use crp_audit::detect::DetectionReport;
 use crp_audit::report::{self, HealthVerdict};
 use crp_core::explain::InversionRecord;
+use crp_netsim::HostId;
 use crp_telemetry::{TelemetrySummary, TimeSeriesExport};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Bound for the `drift-within-bounds` verdict: no window may see more
-/// than this fraction of hosts drift past the L1 threshold. The churn
-/// scenario intentionally remaps a slice of the population, so the
-/// bound tolerates localized drift and only fails on a population-wide
-/// upheaval.
+/// Bound for the `drift-within-bounds` verdict: no detection window may
+/// see more than this fraction of hosts drift past the L1 threshold.
+/// The churn scenario intentionally remaps a slice of the population,
+/// so the bound tolerates localized drift and only fails on a
+/// population-wide upheaval.
 pub const MAX_DRIFTED_FRACTION: f64 = 0.75;
 
 /// Tolerated fraction of rank inversions without a structural
@@ -111,6 +114,17 @@ pub fn record_inversions(outcomes: &[ClientOutcome], candidates: usize) -> (u64,
     (total, unexplained)
 }
 
+/// Pairs each of `hosts` with its region slug: the scopes
+/// [`crp_audit::detect::scan`] localizes changes to, next to its
+/// synthetic `"global"` scope.
+pub fn region_scopes(scenario: &Scenario, hosts: &[HostId]) -> Vec<(HostId, String)> {
+    let network = scenario.network();
+    hosts
+        .iter()
+        .map(|&h| (h, network.host(h).region().slug().to_owned()))
+        .collect()
+}
+
 /// Wall-clock accounting for one completed experiment, measured by
 /// `run_all`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -149,8 +163,6 @@ pub struct ExperimentRollup {
     pub late_dropped: Option<u64>,
     /// Time-series points dropped past the series cap.
     pub series_dropped: Option<u64>,
-    /// Alert rules still firing at the end of the run.
-    pub firing: Vec<String>,
     /// Share of allocations charged to named stages.
     pub attributed_fraction: Option<f64>,
     /// Decision-provenance counts.
@@ -163,12 +175,6 @@ impl ExperimentRollup {
             experiment: m.experiment.clone(),
             late_dropped: m.timeseries.as_ref().map(|t| t.late_dropped),
             series_dropped: m.timeseries.as_ref().map(|t| t.series_dropped),
-            firing: m
-                .alerts
-                .iter()
-                .flat_map(|a| a.firing())
-                .map(str::to_owned)
-                .collect(),
             attributed_fraction: m.mem.as_ref().map(|s| s.attributed_fraction()),
             provenance: m.provenance.as_ref().map(|log| ProvenanceRollup {
                 similarities: log.similarities.len() as u64,
@@ -199,12 +205,10 @@ pub struct RunReport {
     pub combined: TelemetrySummary,
     /// Per-run roll-ups, sorted by experiment.
     pub experiments: Vec<ExperimentRollup>,
-    /// Alert rules firing at the end of their run, across runs.
-    pub firing_total: u64,
     /// The lowest attributed allocation fraction of any run.
     pub attributed_fraction_min: Option<f64>,
-    /// Drift events across every drift timeline.
-    pub drift_event_count: u64,
+    /// Changes raised across every detection report.
+    pub changes_detected: u64,
 }
 
 /// Joins `runs` (as [`crate::telemetry::load`] read them) into a
@@ -232,8 +236,8 @@ pub fn run_report(
         streams.push((m.experiment.as_str(), &run.stream, summary));
     }
     let manifests = || runs.iter().map(|run| &run.manifest);
-    let timelines: Vec<(&str, &DriftTimeline)> = manifests()
-        .filter_map(|m| Some((m.experiment.as_str(), m.drift.as_ref()?)))
+    let detections: Vec<(&str, &DetectionReport)> = manifests()
+        .filter_map(|m| Some((m.experiment.as_str(), m.detect.as_ref()?)))
         .collect();
     let stores: Vec<(&str, &TimeSeriesExport)> = manifests()
         .filter_map(|m| Some((m.experiment.as_str(), m.timeseries.as_ref()?)))
@@ -246,7 +250,7 @@ pub fn run_report(
             (total + p.inversions, unexplained + p.unexplained_inversions)
         });
     let verdicts = vec![
-        report::drift_within_bounds(&timelines, MAX_DRIFTED_FRACTION),
+        report::drift_within_bounds(&detections, MAX_DRIFTED_FRACTION),
         report::no_unexplained_tail_errors(unexplained, inversions, TAIL_TOLERANCE),
         report::stream_matches_summary(&streams, MAX_SINK_DROPPED),
         report::timeseries_lossless(&stores, MAX_LOST_POINTS),
@@ -269,12 +273,11 @@ pub fn run_report(
         failed_experiments,
         wall_clock,
         combined,
-        firing_total: experiments.iter().map(|e| e.firing.len() as u64).sum(),
         attributed_fraction_min: experiments
             .iter()
             .filter_map(|e| e.attributed_fraction)
             .min_by(f64::total_cmp),
-        drift_event_count: timelines.iter().map(|(_, t)| t.drift_event_count()).sum(),
+        changes_detected: detections.iter().map(|(_, r)| r.changes.len() as u64).sum(),
         experiments,
     })
 }
@@ -295,38 +298,41 @@ pub fn write_run_report(out_dir: &Path, report: &RunReport) -> Result<PathBuf, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crp_audit::drift::{DriftWindow, RemapEvent};
+    use crp_audit::detect::{ChangeClass, DetectWindow, DetectedChange, GroupWindow};
     use crp_audit::report::StreamCounts;
     use crp_core::explain::ExplainLog;
     use crp_telemetry::CounterEntry;
     use std::collections::BTreeMap;
 
-    fn timeline(drifted_fraction: f64) -> DriftTimeline {
-        DriftTimeline {
+    /// A one-window detection report whose global group drifted
+    /// `drifted_fraction` of its 20 hosts, with one raised change.
+    fn detection(drifted_fraction: f64) -> DetectionReport {
+        DetectionReport {
             interval_ms: 3_600_000,
-            l1_threshold: 0.5,
-            remap_fraction: 0.2,
             snapshots: 2,
-            windows: vec![DriftWindow {
+            windows: vec![DetectWindow {
                 from_ms: 0,
                 to_ms: 3_600_000,
-                hosts_compared: 20,
-                mean_l1: 0.2,
-                max_l1: 0.8,
-                mean_cosine_distance: 0.1,
-                drifted_hosts: (drifted_fraction * 20.0) as u64,
-                drifted_fraction,
-                strongest_changed: 1,
-                strongest_changed_fraction: 0.05,
                 cluster_distance: 0.0,
-                clusters_from: 2,
-                clusters_to: 2,
+                groups: vec![GroupWindow {
+                    scope: "global".to_owned(),
+                    hosts_compared: 20,
+                    mean_l1: 0.2,
+                    drifted_hosts: (drifted_fraction * 20.0).round() as u64,
+                    drifted_fraction,
+                    ..GroupWindow::default()
+                }],
             }],
-            remap_events: vec![RemapEvent {
-                at_ms: 3_600_000,
-                strongest_changed_fraction: 0.25,
-                hosts_affected: 1,
+            changes: vec![DetectedChange {
+                onset_ms: 0,
+                detected_ms: 3_600_000,
+                class: ChangeClass::MassRemap,
+                scope: "global".to_owned(),
+                hosts_affected: 6,
+                magnitude: 0.3,
+                replicas: Vec::new(),
             }],
+            clustering_bytes: Vec::new(),
         }
     }
 
@@ -373,11 +379,9 @@ mod tests {
                     series_dropped: 0,
                     series: Vec::new(),
                 }),
-                alerts: None,
                 traces: None,
                 mem: None,
-                drift: Some(timeline(MAX_DRIFTED_FRACTION)),
-                detect: None,
+                detect: Some(detection(MAX_DRIFTED_FRACTION)),
             },
             stream: Ok(StreamCounts {
                 records: 6,
@@ -438,7 +442,7 @@ mod tests {
             ),
             (
                 "drift-within-bounds",
-                |run| run.manifest.drift = Some(timeline(0.76)),
+                |run| run.manifest.detect = Some(detection(0.76)),
                 "max drifted fraction 0.760 (bound 0.750) in exp",
             ),
             (
@@ -520,10 +524,7 @@ mod tests {
         let report = run_report(&runs, Vec::new(), vec!["c".to_owned()]).expect("joins");
         assert_eq!(report.combined.counter("event.tick"), Some(8));
         assert_eq!(report.combined.experiment, "combined");
-        assert_eq!(
-            report.drift_event_count, 4,
-            "one drifted window + one remap, twice"
-        );
+        assert_eq!(report.changes_detected, 2, "one raised change, twice");
         assert_eq!(report.attributed_fraction_min, Some(1.0));
         let rollup = &report.experiments[1];
         assert_eq!(rollup.experiment, "b");

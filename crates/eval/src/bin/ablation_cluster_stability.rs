@@ -8,28 +8,11 @@
 //! relation is preserved).
 
 use crp::{Scenario, ScenarioConfig};
+use crp_audit::detect::{self, DetectConfig};
 use crp_core::{Clustering, SimilarityMetric, SmfConfig, WindowPolicy};
 use crp_eval::output;
 use crp_eval::EvalArgs;
 use crp_netsim::{HostId, SimDuration, SimTime};
-
-/// Fraction of node pairs on which two clusterings agree (same cluster
-/// vs different cluster) — the Rand index.
-fn rand_index(a: &Clustering<HostId>, b: &Clustering<HostId>, nodes: &[HostId]) -> f64 {
-    let mut agree = 0u64;
-    let mut total = 0u64;
-    for (i, x) in nodes.iter().enumerate() {
-        for y in &nodes[i + 1..] {
-            let together_a = a.cluster_of(x).is_some() && a.cluster_of(x) == a.cluster_of(y);
-            let together_b = b.cluster_of(x).is_some() && b.cluster_of(x) == b.cluster_of(y);
-            if together_a == together_b {
-                agree += 1;
-            }
-            total += 1;
-        }
-    }
-    agree as f64 / total.max(1) as f64
-}
 
 fn main() {
     let args = EvalArgs::parse();
@@ -82,7 +65,7 @@ fn main() {
     println!("\n  pairwise Rand index between consecutive snapshots:");
     let mut indices = Vec::new();
     for w in snapshots.windows(2) {
-        let ri = rand_index(&w[0].1, &w[1].1, nodes);
+        let ri = detect::rand_index(&w[0].1, &w[1].1, nodes);
         indices.push(ri);
         println!(
             "    {}h -> {}h: {:.3}",
@@ -107,31 +90,32 @@ fn main() {
         &rows,
     );
 
-    // Audit pass: the full drift + churn scan over the same recorded
+    // Audit pass: the drift and churn scan over the same recorded
     // history — this is the run that exercises CDN remap detection, so
-    // it scans the whole horizon at route-epoch granularity with the
-    // clustering diff enabled.
+    // it compares consecutive snapshots over the whole horizon at
+    // route-epoch granularity with the clustering diff enabled.
     if telemetry.observing() {
-        let drift_cfg = crp_audit::drift::DriftConfig::new(
-            SimTime::from_hours(2),
-            horizon,
-            SimDuration::from_hours(6),
-        );
-        let timeline = crp_audit::drift::scan(&service, scenario.clients(), &drift_cfg);
+        let mut detect_cfg =
+            DetectConfig::new(SimTime::from_hours(2), horizon, SimDuration::from_hours(6));
+        detect_cfg.lag_windows = 1;
+        detect_cfg.smf = Some(SmfConfig::paper(0.1));
+        let hosts = crp_eval::audit::region_scopes(&scenario, scenario.clients());
+        let report = detect::scan(&service, &hosts, &detect_cfg);
+        let max_cluster_distance = report
+            .windows
+            .iter()
+            .map(|w| w.cluster_distance)
+            .fold(0.0, f64::max);
         println!("\n  audit:");
         output::kv(&[
-            ("drift windows", timeline.windows.len().to_string()),
+            ("drift windows", report.windows.len().to_string()),
             (
                 "max drifted fraction",
-                format!("{:.3}", timeline.max_drifted_fraction()),
+                format!("{:.3}", report.max_drifted_fraction()),
             ),
-            (
-                "max cluster distance",
-                format!("{:.3}", timeline.max_cluster_distance()),
-            ),
-            ("remap events", timeline.remap_events.len().to_string()),
-            ("drift events", timeline.drift_event_count().to_string()),
+            ("max cluster distance", format!("{max_cluster_distance:.3}")),
+            ("changes raised", report.changes.len().to_string()),
         ]);
-        telemetry.set_drift(timeline);
+        telemetry.set_detect(report);
     }
 }

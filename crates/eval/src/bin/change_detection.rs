@@ -19,7 +19,7 @@ use crp_core::{SimilarityMetric, WindowPolicy};
 use crp_eval::changedetect::{self, MatchConfig};
 use crp_eval::output;
 use crp_eval::EvalArgs;
-use crp_netsim::{HostId, SimDuration, SimTime};
+use crp_netsim::{SimDuration, SimTime};
 use serde::{Serialize, Value};
 use std::fs;
 use std::path::Path;
@@ -62,11 +62,7 @@ fn main() {
 
     // Scope every client by its region slug; the detector localizes
     // changes to these labels (plus a synthetic "global").
-    let hosts: Vec<(HostId, String)> = scenario
-        .clients()
-        .iter()
-        .map(|&h| (h, scenario.network().host(h).region().slug().to_owned()))
-        .collect();
+    let hosts = crp_eval::audit::region_scopes(&scenario, scenario.clients());
     let detect_cfg = DetectConfig::new(SimTime::from_hours(1), horizon, SimDuration::from_mins(30));
     let report = crp_audit::detect::scan(&service, &hosts, &detect_cfg);
     let eval = changedetect::evaluate(scenario.event_log(), &report, &MatchConfig::default());
@@ -147,7 +143,7 @@ fn main() {
     write_json(&args.out_dir, &args, &eval, &report);
 
     // Observer section: the raw window stream and change list, for
-    // post-hoc inspection next to the drift timelines.
+    // post-hoc inspection next to the other runs' detection reports.
     if telemetry.observing() {
         telemetry.set_detect(report);
     }

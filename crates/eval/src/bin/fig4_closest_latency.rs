@@ -5,7 +5,7 @@
 //! distribution (≈65% of clients within ~7 ms / ~12%), beats it for
 //! over 25% of clients, and both degrade in a poorly-covered tail.
 
-use crp_audit::drift::DriftConfig;
+use crp_audit::detect::DetectConfig;
 use crp_eval::output::{self, sorted_series};
 use crp_eval::{run_closest, ClosestConfig, EvalArgs};
 use crp_netsim::{SimDuration, SimTime};
@@ -31,32 +31,36 @@ fn main() {
     let run = run_closest(&cfg);
 
     // Audit pass: classify tail-rank inversions into the provenance log
-    // and drift-scan the candidates' recorded history. Both read state
-    // the experiment already produced — nothing upstream changes.
+    // and scan the candidates' recorded history for drift, comparing
+    // consecutive snapshots. Both read state the experiment already
+    // produced — nothing upstream changes.
     if telemetry.observing() {
         let (total, unexplained) =
             crp_eval::audit::record_inversions(&run.outcomes, cfg.candidates);
-        let mut drift_cfg = DriftConfig::new(
+        let mut detect_cfg = DetectConfig::new(
             SimTime::ZERO,
             SimTime::from_hours(cfg.observe_hours),
             SimDuration::from_hours((cfg.observe_hours / 6).max(1)),
         );
-        drift_cfg.smf = None; // candidate drift only; churn is ablation_cluster_stability's job
-        let timeline = crp_audit::drift::scan(&run.service, run.scenario.candidates(), &drift_cfg);
+        detect_cfg.lag_windows = 1;
+        // Candidate drift only: clustering stays off, churn is
+        // ablation_cluster_stability's job.
+        let hosts = crp_eval::audit::region_scopes(&run.scenario, run.scenario.candidates());
+        let report = crp_audit::detect::scan(&run.service, &hosts, &detect_cfg);
         println!("\n  audit:");
         output::kv(&[
             (
                 "tail inversions",
                 format!("{total} ({unexplained} unexplained)"),
             ),
-            ("drift windows", timeline.windows.len().to_string()),
+            ("drift windows", report.windows.len().to_string()),
             (
                 "max drifted fraction",
-                format!("{:.3}", timeline.max_drifted_fraction()),
+                format!("{:.3}", report.max_drifted_fraction()),
             ),
-            ("remap events", timeline.remap_events.len().to_string()),
+            ("changes raised", report.changes.len().to_string()),
         ]);
-        telemetry.set_drift(timeline);
+        telemetry.set_detect(report);
     }
 
     let meridian: Vec<f64> = run.outcomes.iter().map(|o| o.meridian_ms).collect();

@@ -6,7 +6,7 @@
 //!
 //! Reads every `<experiment>_manifest.json` in the directory together
 //! with its `<experiment>.jsonl` stream, prints each run's live
-//! dashboard (time series, alerts, causal traces), joins the runs into
+//! dashboard (time series, causal traces), joins the runs into
 //! the four run-health verdicts (drift, tail errors, stream against
 //! summary, lossless time series), prints one line per verdict, and
 //! writes `<out>/run_report.json` (default `results/`). Exits 0 when

@@ -102,8 +102,8 @@ fn main() {
                     eprintln!("[run_all] {v}");
                 }
                 eprintln!(
-                    "[run_all] joined {manifests} manifest(s), {} alert rule(s) firing; wrote {}",
-                    report.firing_total,
+                    "[run_all] joined {manifests} manifest(s), {} change(s) detected; wrote {}",
+                    report.changes_detected,
                     path.display()
                 );
             }

@@ -319,6 +319,7 @@ mod tests {
             snapshots: windows.len() as u64 + 1,
             windows,
             changes,
+            clustering_bytes: Vec::new(),
         }
     }
 

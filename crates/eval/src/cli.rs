@@ -21,8 +21,8 @@ pub struct EvalArgs {
     /// Output directory for CSV series (default `results`).
     pub out_dir: String,
     /// Observe directory: arms every SimTime-side observer (metrics
-    /// and record stream, decision provenance and drift scans, time
-    /// series, causal traces and alerts, allocation attribution) and
+    /// and record stream, decision provenance and change-detection
+    /// scans, time series, causal traces, allocation attribution) and
     /// writes `<dir>/<experiment>.jsonl` and
     /// `<dir>/<experiment>_manifest.json` (see [`crate::telemetry`]).
     /// `None` leaves them all disarmed.

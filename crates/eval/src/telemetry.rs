@@ -11,14 +11,13 @@
 //!   returned [`TelemetrySession`] drops at the end of `main`. Each
 //!   layer is one optional section of it: `summary` (the aggregated
 //!   [`TelemetrySummary`]), `provenance` (the [`crp_core::explain`]
-//!   decision log), `timeseries`, `alerts` and `traces` (the SimTime
-//!   [time-series store](crp_telemetry::timeseries), the
-//!   [SLO alert engine](crp_telemetry::alert) replayed over it, and the
-//!   sampled [causal traces](crp_telemetry::trace)), `mem` (the
-//!   per-stage [allocation attribution](crp_telemetry::mem) snapshot),
-//!   and `drift` or `detect`, the drift timeline or change-detection
-//!   report an auditing binary hands over with
-//!   [`TelemetrySession::set_drift`] / [`TelemetrySession::set_detect`].
+//!   decision log), `timeseries` and `traces` (the SimTime
+//!   [time-series store](crp_telemetry::timeseries) and the sampled
+//!   [causal traces](crp_telemetry::trace)), `mem` (the per-stage
+//!   [allocation attribution](crp_telemetry::mem) snapshot), and
+//!   `detect`, the change-detection report — the run's one drift record
+//!   — that an auditing binary hands over with
+//!   [`TelemetrySession::set_detect`].
 //!
 //! [`load`] reads a directory back, manifests and streams together, and
 //! [`dashboard`] renders one run's live sections; the `report` binary
@@ -38,10 +37,8 @@
 
 use crate::EvalArgs;
 use crp_audit::detect::DetectionReport;
-use crp_audit::drift::DriftTimeline;
 use crp_audit::report::StreamCounts;
 use crp_core::explain::ExplainLog;
-use crp_telemetry::alert::{self, AlertLog};
 use crp_telemetry::timeseries::{self, TimeSeriesExport};
 use crp_telemetry::trace::{self, TraceLog};
 use crp_telemetry::{JsonlSink, MemSnapshot, TelemetrySummary};
@@ -59,7 +56,6 @@ pub struct TelemetrySession {
     observe_dir: Option<PathBuf>,
     profile_dir: Option<PathBuf>,
     experiment: &'static str,
-    drift: Option<DriftTimeline>,
     detect: Option<DetectionReport>,
 }
 
@@ -68,11 +64,6 @@ impl TelemetrySession {
     /// only then.
     pub fn observing(&self) -> bool {
         self.observe_dir.is_some()
-    }
-
-    /// Hands the run's drift timeline to the manifest.
-    pub fn set_drift(&mut self, timeline: DriftTimeline) {
-        self.drift = Some(timeline);
     }
 
     /// Hands the run's change-detection report to the manifest.
@@ -117,7 +108,6 @@ pub fn session(args: &EvalArgs, experiment: &'static str) -> TelemetrySession {
         observe_dir,
         profile_dir,
         experiment,
-        drift: None,
         detect: None,
     }
 }
@@ -135,15 +125,12 @@ pub struct RunManifest {
     pub provenance: Option<ExplainLog>,
     /// The SimTime time-series store.
     pub timeseries: Option<TimeSeriesExport>,
-    /// The SLO alert rules replayed over the time series.
-    pub alerts: Option<AlertLog>,
     /// Sampled causal traces.
     pub traces: Option<TraceLog>,
     /// Per-stage allocation attribution.
     pub mem: Option<MemSnapshot>,
-    /// Post-campaign drift and churn scan.
-    pub drift: Option<DriftTimeline>,
-    /// Change-detection scan over the recorded history.
+    /// Change-detection scan over the recorded history: per-window
+    /// drift and churn features and the changes raised.
     pub detect: Option<DetectionReport>,
 }
 
@@ -185,23 +172,13 @@ impl Drop for TelemetrySession {
         let Some(dir) = &self.observe_dir else {
             return;
         };
-        // The alert engine replays the completed windows, so it runs
-        // after every instrumented call site has gone quiet.
-        let alerts = store
-            .as_ref()
-            .map(|store| alert::AlertEngine::new(alert::default_rules()).evaluate(store));
-        for name in alerts.iter().flat_map(AlertLog::firing) {
-            eprintln!("[live] ALERT firing at end of run: {name}");
-        }
         let manifest = RunManifest {
             experiment: self.experiment.to_owned(),
             summary,
             provenance,
             timeseries: store.as_ref().map(|store| store.export()),
-            alerts,
             traces,
             mem,
-            drift: self.drift.take(),
             detect: self.detect.take(),
         };
         let path = dir.join(format!("{}{MANIFEST_SUFFIX}", self.experiment));
@@ -301,18 +278,15 @@ fn hours(ms: u64) -> f64 {
 const TRACES_SHOWN: usize = 3;
 
 /// Renders `manifest`'s live sections the way an on-call engineer wants
-/// to see a run: per-metric aggregates with tail quantiles, the alert
-/// rules with their firing history, and the first sampled causal traces
-/// with full span trees. Renders nothing unless the run recorded time
-/// series, alerts and traces.
+/// to see a run: per-metric aggregates with tail quantiles and the
+/// first sampled causal traces with full span trees. Renders nothing
+/// unless the run recorded time series and traces.
 ///
 /// # Errors
 ///
 /// Any error writing to `out`.
 pub fn dashboard(out: &mut impl Write, manifest: &RunManifest) -> io::Result<()> {
-    let (Some(ts), Some(alerts), Some(traces)) =
-        (&manifest.timeseries, &manifest.alerts, &manifest.traces)
-    else {
+    let (Some(ts), Some(traces)) = (&manifest.timeseries, &manifest.traces) else {
         return Ok(());
     };
     writeln!(out, "live report: {}", manifest.experiment)?;
@@ -355,34 +329,6 @@ pub fn dashboard(out: &mut impl Write, manifest: &RunManifest) -> io::Result<()>
             "dropped: {} late samples, {} past the series cap",
             ts.late_dropped, ts.series_dropped
         )?;
-    }
-
-    writeln!(out)?;
-    writeln!(out, "== alerts ==")?;
-    for outcome in &alerts.rules {
-        let fired = outcome
-            .transitions
-            .iter()
-            .filter(|t| t.state == "firing")
-            .count();
-        writeln!(
-            out,
-            "{:<24} {:>9}  breached {}/{} windows, fired {} time(s)",
-            outcome.rule.name,
-            outcome.final_state,
-            outcome.breached_windows,
-            outcome.evaluated_windows,
-            fired
-        )?;
-        for t in &outcome.transitions {
-            writeln!(
-                out,
-                "    {:>8.2}h  {:<8}  value {:.3}",
-                hours(t.at_ms),
-                t.state,
-                t.value
-            )?;
-        }
     }
 
     writeln!(out)?;
@@ -482,7 +428,7 @@ mod tests {
         crp_telemetry::counter_add("test.calls", 3);
         crp_telemetry::event(5, "test.tick", &[]);
         {
-            crp_telemetry::stage!(AUDIT_DRIFT_SCAN);
+            crp_telemetry::stage!(AUDIT_DETECT_SCAN);
             let _buf: Vec<u8> = Vec::with_capacity(64);
         }
         crp_core::explain::record_inversion(crp_core::explain::InversionRecord {
@@ -496,9 +442,9 @@ mod tests {
         });
         trace::begin(trace::mint(&[7]), 0, stage::CDN_AUTHORITATIVE_ANSWER.name);
         crp_telemetry::observe_at(0, "cdn.best_candidate_ms", 12.5);
-        let timeline = r#"{"interval_ms":1,"l1_threshold":0.5,"remap_fraction":0.2,
-            "snapshots":0,"windows":[],"remap_events":[]}"#;
-        s.set_drift(serde_json::from_str(timeline).expect("a drift timeline"));
+        let report = r#"{"interval_ms":1,"snapshots":0,"windows":[],"changes":[],
+            "clustering_bytes":[]}"#;
+        s.set_detect(serde_json::from_str(report).expect("a detection report"));
         drop(s);
         assert_eq!(stage::mask(), 0, "the drop disarms every layer");
         let mut files: Vec<String> = fs::read_dir(&dir)
@@ -516,23 +462,19 @@ mod tests {
         let summary = m.summary.as_ref().expect("summary section");
         assert_eq!(summary.experiment, "t_obs");
         assert_eq!(summary.counter("test.calls"), Some(3));
-        assert_eq!(summary.counter(stage::AUDIT_DRIFT_SCAN.calls), Some(1));
+        assert_eq!(summary.counter(stage::AUDIT_DETECT_SCAN.calls), Some(1));
         let log = m.provenance.as_ref().expect("provenance section");
         assert_eq!(log.inversions.len(), 1);
         assert_eq!(log.inversions[0].client, "c0");
         assert!(m.timeseries.is_some() && m.traces.is_some());
-        let alerts = m.alerts.as_ref().expect("alerts section");
-        assert!(alerts.rule("ingest-latency-p99").is_some());
-        assert!(alerts.firing().is_empty(), "one cheap sample cannot fire");
         // This crate installs the counting allocator, so the snapshot
         // carries real counts.
         let snap = m.mem.as_ref().expect("mem section");
         let domain = snap
-            .domain(stage::AUDIT_DRIFT_SCAN.name)
+            .domain(stage::AUDIT_DETECT_SCAN.name)
             .expect("stage domain in the snapshot");
         assert!(domain.allocs > 0, "{snap:?}");
-        assert_eq!(m.drift.as_ref().map(|d| d.interval_ms), Some(1));
-        assert!(m.detect.is_none(), "no detection report was handed over");
+        assert_eq!(m.detect.as_ref().map(|d| d.interval_ms), Some(1));
         let mut text = Vec::new();
         dashboard(&mut text, m).expect("renders");
         let text = String::from_utf8(text).expect("utf8");
@@ -576,8 +518,7 @@ mod tests {
         let manifest = |experiment: &str| {
             format!(
                 r#"{{"experiment":"{experiment}","summary":null,"provenance":null,
-                "timeseries":null,"alerts":null,"traces":null,"mem":null,"drift":null,
-                "detect":null}}"#
+                "timeseries":null,"traces":null,"mem":null,"detect":null}}"#
             )
         };
         for exp in ["zeta", "alpha"] {

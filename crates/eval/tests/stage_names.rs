@@ -5,7 +5,6 @@
 //! in any artifact. One test, because the layers are process-global.
 
 use crp_audit::detect::{self, DetectConfig};
-use crp_audit::drift::{self, DriftConfig};
 use crp_eval::{run_closest, run_clustering, ClosestConfig, ClusterExpConfig};
 use crp_netsim::{SimDuration, SimTime};
 use crp_telemetry::profile::ProfileNode;
@@ -29,6 +28,13 @@ const RETIRED: &[&str] = &[
     "eval.closest",
     "eval.cluster",
     "audit.detect",
+    "audit.drift_scan",
+    "audit.drift.windows",
+    "audit.drift.remap_events",
+    "audit.ratio_drift.l1",
+    "detect.remap_fraction",
+    "detect.drift_level",
+    "detect.changes_raised",
 ];
 
 fn profile_names<'a>(node: &'a ProfileNode, out: &mut Vec<&'a str>) {
@@ -53,17 +59,7 @@ fn every_stage_reports_under_its_one_name() {
     });
     let _ = run_clustering(&ClusterExpConfig::smoke(4));
     let horizon = SimTime::from_hours(6);
-    let candidates = closest.scenario.candidates();
-    let _ = drift::scan(
-        &closest.service,
-        candidates,
-        &DriftConfig::new(SimTime::ZERO, horizon, SimDuration::from_hours(2)),
-    );
-    let network = closest.scenario.network();
-    let regions: Vec<_> = candidates
-        .iter()
-        .map(|&h| (h, network.host(h).region().slug().to_owned()))
-        .collect();
+    let regions = crp_eval::audit::region_scopes(&closest.scenario, closest.scenario.candidates());
     let _ = detect::scan(
         &closest.service,
         &regions,

@@ -160,7 +160,7 @@ fn report_rejects_a_manifest_without_summary() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     let manifest = r#"{"experiment":"exp","summary":null,"provenance":null,"timeseries":null,
-        "alerts":null,"traces":null,"mem":null,"drift":null,"detect":null}"#;
+        "traces":null,"mem":null,"detect":null}"#;
     #[expect(
         clippy::disallowed_methods,
         reason = "the test plants a manifest for the binary to read"

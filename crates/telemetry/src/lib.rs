@@ -61,7 +61,6 @@
     clippy::iter_over_hash_type
 )]
 
-pub mod alert;
 pub mod mem;
 pub mod metrics;
 pub mod profile;
@@ -72,7 +71,6 @@ pub mod summary;
 pub mod timeseries;
 pub mod trace;
 
-pub use alert::{AlertEngine, AlertLog, AlertRule};
 pub use mem::{DomainMem, MemFootprint, MemSnapshot};
 pub use metrics::{
     default_bounds, default_bounds_cached, unit_bounds, unit_bounds_cached, Histogram,

@@ -107,7 +107,6 @@ registry! {
     MERIDIAN_CLOSEST_QUERY = "meridian.closest_query", "`MeridianOverlay::closest_node_query`";
     EVAL_RUN_CLOSEST = "eval.run_closest", "`crp_eval::closest::run_closest`";
     EVAL_RUN_CLUSTERING = "eval.run_clustering", "`crp_eval::clusterexp::run_clustering`";
-    AUDIT_DRIFT_SCAN = "audit.drift_scan", "`crp_audit::drift::scan`";
     AUDIT_DETECT_SCAN = "audit.detect_scan", "`crp_audit::detect::scan`";
 }
 

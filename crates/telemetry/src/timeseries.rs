@@ -76,22 +76,22 @@ impl Default for TimeSeriesConfig {
 
 /// One aggregated window (or a whole-run rollup when `start_ms` is 0 and
 /// `window_ms` covers the run).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Window {
+#[derive(Clone, Debug)]
+struct Window {
     /// Window start, simulated milliseconds.
-    pub start_ms: u64,
+    start_ms: u64,
     /// Samples aggregated.
-    pub count: u64,
+    count: u64,
     /// Sum of sample values.
-    pub sum: f64,
+    sum: f64,
     /// Smallest sample (0 when empty).
-    pub min: f64,
+    min: f64,
     /// Largest sample (0 when empty).
-    pub max: f64,
+    max: f64,
     /// Per-bucket counts over the store bounds, overflow bucket last.
-    pub buckets: Vec<u64>,
+    buckets: Vec<u64>,
     /// `(bucket index, trace id)` exemplars, latest wins per bucket.
-    pub exemplars: Vec<(usize, u64)>,
+    exemplars: Vec<(usize, u64)>,
 }
 
 impl Window {
@@ -138,73 +138,6 @@ impl Window {
             }
         }
     }
-
-    /// Mean of the window's samples, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// The `q`-quantile estimate against `bounds` (upper bound of the
-    /// rank bucket, clamped to the observed range), or `None` when the
-    /// window is empty or `q` is outside `(0, 1]`.
-    pub fn quantile(&self, bounds: &[f64], q: f64) -> Option<f64> {
-        rank_walk(self.count, self.min, self.max, &self.buckets, bounds, q)
-    }
-
-    /// Merges `other` into `self` (used for multi-window burn-rate
-    /// evaluation and the whole-run rollup).
-    pub fn merge(&mut self, other: &Window) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        for &(bucket, id) in &other.exemplars {
-            if let Some(slot) = self.exemplars.iter_mut().find(|(b, _)| *b == bucket) {
-                slot.1 = id;
-            } else {
-                self.exemplars.push((bucket, id));
-            }
-        }
-    }
-}
-
-/// The quantile rank walk shared by live and exported windows: the
-/// upper bound of the bucket holding rank `ceil(q * count)`, clamped
-/// to `[min, max]`; `None` when empty or `q` is outside `(0, 1]`.
-fn rank_walk(
-    count: u64,
-    min: f64,
-    max: f64,
-    buckets: &[u64],
-    bounds: &[f64],
-    q: f64,
-) -> Option<f64> {
-    if count == 0 || !(q > 0.0 && q <= 1.0) {
-        return None;
-    }
-    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-    let mut seen = 0u64;
-    let mut idx = buckets.len().saturating_sub(1);
-    for (i, c) in buckets.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            idx = i;
-            break;
-        }
-    }
-    let raw = bounds.get(idx).copied().unwrap_or(max);
-    Some(raw.clamp(min, max))
 }
 
 #[derive(Clone, Debug)]
@@ -248,31 +181,9 @@ impl Tier {
 
 /// One metric's timeline: a whole-run rollup plus per-tier rings.
 #[derive(Clone, Debug)]
-pub struct Series {
+struct Series {
     total: Window,
     tiers: Vec<Tier>,
-}
-
-impl Series {
-    /// The whole-run rollup window (bucket exemplars are latest-wins
-    /// across the entire run).
-    pub fn total(&self) -> &Window {
-        &self.total
-    }
-
-    /// Occupied windows of the tier with the given width, ascending.
-    pub fn windows(&self, window_ms: u64) -> Vec<&Window> {
-        self.tiers
-            .iter()
-            .find(|t| t.window_ms == window_ms)
-            .map(|t| t.windows())
-            .unwrap_or_default()
-    }
-
-    /// The widths of the retention tiers, in configuration order.
-    pub fn tier_widths(&self) -> Vec<u64> {
-        self.tiers.iter().map(|t| t.window_ms).collect()
-    }
 }
 
 /// The store: series by name, with bounded cardinality.
@@ -293,11 +204,6 @@ impl TimeSeriesStore {
             late_dropped: 0,
             series_dropped: 0,
         }
-    }
-
-    /// The store configuration.
-    pub fn config(&self) -> &TimeSeriesConfig {
-        &self.config
     }
 
     /// Records one sample for `name` at simulated time `time_ms`.
@@ -335,26 +241,6 @@ impl TimeSeriesStore {
                 self.late_dropped += 1;
             }
         }
-    }
-
-    /// The series for `name`, if any samples were recorded.
-    pub fn series(&self, name: &str) -> Option<&Series> {
-        self.series.get(name)
-    }
-
-    /// All series names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.series.keys().map(String::as_str).collect()
-    }
-
-    /// Samples dropped because they were older than their ring slot.
-    pub fn late_dropped(&self) -> u64 {
-        self.late_dropped
-    }
-
-    /// Samples dropped because the series cap was reached.
-    pub fn series_dropped(&self) -> u64 {
-        self.series_dropped
     }
 
     /// Condenses the store into its serializable export form. Only
@@ -467,10 +353,26 @@ pub struct WindowExport {
 }
 
 impl WindowExport {
-    /// The `q`-quantile estimate, by the same rank walk as
-    /// [`Window::quantile`].
+    /// The `q`-quantile estimate against `bounds` (upper bound of the
+    /// rank bucket, clamped to the observed range), or `None` when the
+    /// window is empty or `q` is outside `(0, 1]`.
     pub fn quantile(&self, bounds: &[f64], q: f64) -> Option<f64> {
-        rank_walk(self.count, self.min, self.max, &self.buckets, bounds, q)
+        let count = self.count;
+        if count == 0 || !(q > 0.0 && q <= 1.0) {
+            return None;
+        }
+        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+        let mut seen = 0u64;
+        let mut idx = self.buckets.len().saturating_sub(1);
+        for (i, c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                idx = i;
+                break;
+            }
+        }
+        let raw = bounds.get(idx).copied().unwrap_or(self.max);
+        Some(raw.clamp(self.min, self.max))
     }
 }
 
@@ -590,24 +492,35 @@ mod tests {
         }
     }
 
+    fn windows(s: &TimeSeriesStore, name: &str, tier: usize) -> Vec<WindowExport> {
+        s.export()
+            .series(name)
+            .map(|x| x.tiers[tier].windows.clone())
+            .unwrap_or_default()
+    }
+
+    fn total(s: &TimeSeriesStore, name: &str) -> Option<WindowExport> {
+        s.export().series(name).map(|x| x.total.clone())
+    }
+
     #[test]
     fn windows_aggregate_by_sim_time() {
         let mut s = TimeSeriesStore::new(cfg());
         s.record(100, "lat", 0.5, 0);
         s.record(900, "lat", 5.0, 0);
         s.record(1_100, "lat", 50.0, 0);
-        let series = s.series("lat").expect("series exists");
-        let fine = series.windows(1_000);
+        let fine = windows(&s, "lat", 0);
         assert_eq!(fine.len(), 2);
         assert_eq!(fine[0].start_ms, 0);
         assert_eq!(fine[0].count, 2);
         assert_eq!(fine[1].start_ms, 1_000);
         assert_eq!(fine[1].count, 1);
-        let coarse = series.windows(10_000);
+        let coarse = windows(&s, "lat", 1);
         assert_eq!(coarse.len(), 1);
         assert_eq!(coarse[0].count, 3);
-        assert_eq!(series.total().count, 3);
-        assert!((series.total().sum - 55.5).abs() < 1e-12);
+        let total = total(&s, "lat").expect("series exists");
+        assert_eq!(total.count, 3);
+        assert!((total.sum - 55.5).abs() < 1e-12);
     }
 
     #[test]
@@ -617,16 +530,15 @@ mod tests {
         for t in 0..8u64 {
             s.record(t * 1_000, "x", 1.0, 0);
         }
-        let series = s.series("x").expect("series exists");
-        let fine = series.windows(1_000);
+        let fine = windows(&s, "x", 0);
         assert_eq!(fine.len(), 4, "ring holds only the last 4 windows");
         assert_eq!(fine[0].start_ms, 4_000);
         assert_eq!(fine[3].start_ms, 7_000);
         // A sample far in the past hits an occupied newer slot → dropped
         // from that tier, but the whole-run rollup still counts it.
         s.record(3_000, "x", 1.0, 0);
-        assert_eq!(s.late_dropped(), 1);
-        assert_eq!(s.series("x").map(|x| x.total().count), Some(9));
+        assert_eq!(s.export().late_dropped, 1);
+        assert_eq!(total(&s, "x").map(|w| w.count), Some(9));
     }
 
     #[test]
@@ -635,8 +547,10 @@ mod tests {
         for name in ["a", "b", "c", "d", "e"] {
             s.record(0, name, 1.0, 0);
         }
-        assert_eq!(s.names(), vec!["a", "b", "c"]);
-        assert_eq!(s.series_dropped(), 2);
+        let export = s.export();
+        let names: Vec<&str> = export.series.iter().map(|x| x.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "c"]);
+        assert_eq!(export.series_dropped, 2);
     }
 
     #[test]
@@ -644,7 +558,7 @@ mod tests {
         let mut s = TimeSeriesStore::new(cfg());
         s.record(0, "x", f64::NAN, 0);
         s.record(0, "x", -1.0, 0);
-        assert!(s.series("x").is_none());
+        assert!(s.export().series("x").is_none());
     }
 
     #[test]
@@ -653,51 +567,35 @@ mod tests {
         s.record(0, "lat", 500.0, 7); // overflow bucket
         s.record(10, "lat", 600.0, 9); // same bucket, later trace
         s.record(20, "lat", 0.5, 3); // bucket 0
-        let total = s.series("lat").map(|x| x.total().clone()).expect("series");
-        assert!(total.exemplars.contains(&(3, 9)), "{:?}", total.exemplars);
-        assert!(total.exemplars.contains(&(0, 3)));
-        assert_eq!(total.exemplars.len(), 2);
-    }
-
-    #[test]
-    fn quantiles_walk_buckets_and_clamp() {
-        let mut w = Window::empty(4);
-        let bounds = [1.0, 10.0, 100.0];
-        for v in [0.5, 5.0, 50.0, 50.0] {
-            w.observe(v, bounds.partition_point(|b| *b < v), 0, 0);
-        }
-        assert_eq!(w.quantile(&bounds, 0.25), Some(1.0));
-        assert_eq!(w.quantile(&bounds, 1.0), Some(50.0)); // clamped to max
-        assert_eq!(Window::empty(4).quantile(&bounds, 0.5), None);
-        // An exported window walks the same ranks.
-        let exported = export_window(&w);
-        for q in [0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(
-                exported.quantile(&bounds, q),
-                w.quantile(&bounds, q),
-                "q {q}"
-            );
-        }
+        let exemplars: Vec<(usize, String)> = total(&s, "lat")
+            .expect("series")
+            .exemplars
+            .into_iter()
+            .map(|e| (e.bucket, e.trace))
+            .collect();
         assert_eq!(
-            export_window(&Window::empty(4)).quantile(&bounds, 0.5),
-            None
+            exemplars,
+            [(3, format!("{:016x}", 9)), (0, format!("{:016x}", 3))]
         );
     }
 
     #[test]
-    fn merge_combines_counts_and_exemplars() {
-        let bounds = [1.0, 10.0];
-        let mut a = Window::empty(3);
-        a.observe(0.5, 0, 1, 2);
-        let mut b = Window::empty(3);
-        b.observe(20.0, 2, 5, 2);
-        b.observe(0.7, 0, 8, 2);
-        a.merge(&b);
-        assert_eq!(a.count, 3);
-        assert!((a.quantile(&bounds, 1.0).unwrap() - 20.0).abs() < 1e-12);
-        // b's bucket-0 exemplar overwrote a's (latest wins).
-        assert!(a.exemplars.contains(&(0, 8)));
-        assert!(a.exemplars.contains(&(2, 5)));
+    fn quantiles_walk_buckets_and_clamp() {
+        let mut s = TimeSeriesStore::new(cfg());
+        let bounds = [1.0, 10.0, 100.0];
+        for v in [0.5, 5.0, 50.0, 50.0] {
+            s.record(0, "lat", v, 0);
+        }
+        let w = total(&s, "lat").expect("series");
+        assert_eq!(w.buckets, [1, 1, 2, 0]);
+        assert_eq!(w.quantile(&bounds, 0.25), Some(1.0));
+        assert_eq!(w.quantile(&bounds, 0.5), Some(10.0));
+        assert_eq!(w.quantile(&bounds, 1.0), Some(50.0)); // clamped to max
+        assert_eq!(w.quantile(&bounds, 0.0), None);
+        assert_eq!(
+            export_window(&Window::empty(4)).quantile(&bounds, 0.5),
+            None
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crp::{Scenario, ScenarioConfig};
 use crp_core::{SimilarityMetric, WindowPolicy};
 use crp_netsim::{SimDuration, SimTime};
 use crp_telemetry::stage::{self, EXPLAIN, MEM, METRICS, PROFILE, TIMESERIES, TRACE};
-use crp_telemetry::{alert, mem, profile, timeseries, trace, MemorySink, Record};
+use crp_telemetry::{mem, profile, timeseries, trace, MemorySink, Record};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -180,13 +180,7 @@ fn finish(layers: u32, records: Option<Arc<Mutex<Vec<Record>>>>) -> Vec<(u32, St
             "ingest latency series missing: {:?}",
             export.series.iter().map(|s| &s.name).collect::<Vec<_>>()
         );
-        let alerts = alert::AlertEngine::new(alert::default_rules()).evaluate(&store);
-        assert!(
-            alerts.rule("ingest-latency-p99").is_some(),
-            "default rules not evaluated"
-        );
         out.push((TIMESERIES, json!(export)));
-        out.push((TIMESERIES, json!(alerts)));
     }
     if let Some(traces) = trace::finish() {
         assert!(traces.minted > 0, "no traces minted: {traces:?}");
