@@ -722,20 +722,8 @@ where
 
         let raised = detector.push(&window);
         crp_telemetry::counter_add("audit.detect.windows", 1);
-        for change in &raised {
+        for _ in &raised {
             crp_telemetry::counter_add("audit.detect.changes", 1);
-            if crp_telemetry::enabled() {
-                crp_telemetry::event(
-                    change.detected_ms,
-                    "detect.change",
-                    &[
-                        ("class", change.class.label().into()),
-                        ("scope", change.scope.clone().into()),
-                        ("hosts", change.hosts_affected.into()),
-                        ("magnitude", change.magnitude.into()),
-                    ],
-                );
-            }
         }
         changes.extend(raised);
         windows.push(window);

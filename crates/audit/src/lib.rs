@@ -2,7 +2,7 @@
 //! verdicts.
 //!
 //! crp-telemetry answers "what did the pipeline *do*" — counters,
-//! events, histograms. This crate answers the domain questions those
+//! histograms, time series. This crate answers the domain questions those
 //! primitives cannot: **did the CDN remap clients mid-run**, **how fast
 //! are ratio maps drifting**, and **is the clustering churning** — the
 //! silent failure modes §V of the paper warns about (probe-interval and

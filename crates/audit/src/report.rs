@@ -3,7 +3,7 @@
 //! crp-eval's `report` binary and `run_all` join every run manifest of
 //! an `--observe` directory into `run_report.json`; the verdict logic —
 //! what counts as healthy — lives here so it is unit-testable without
-//! the file plumbing. Four verdicts, matching the failure modes the
+//! the file plumbing. Three verdicts, matching the failure modes the
 //! observers exist to catch:
 //!
 //! * **drift-within-bounds** — no detection window drifted more of the
@@ -13,9 +13,6 @@
 //! * **no-unexplained-tail-errors** — every recorded rank inversion in
 //!   the selection experiments carries a structural explanation
 //!   (no shared replicas, weak signal), up to a small tolerance;
-//! * **stream-matches-summary** — each run's JSONL record stream agrees
-//!   with the counters its summary aggregated, and the sink lost too
-//!   few records for that cross-check to mean anything;
 //! * **timeseries-lossless** — no time-series store dropped points as
 //!   late or past its series cap. Stamps are SimTime, so a lost point
 //!   is an instrumentation bug, not scheduling jitter.
@@ -23,9 +20,8 @@
 //! A verdict with nothing to judge passes as explicitly *skipped*.
 
 use crate::detect::DetectionReport;
-use crp_telemetry::{TelemetrySummary, TimeSeriesExport};
+use crp_telemetry::TimeSeriesExport;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One named health check with its outcome and a human-readable detail
@@ -115,123 +111,6 @@ pub fn no_unexplained_tail_errors(
     }
 }
 
-/// What one walk over a run's JSONL record stream counted.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StreamCounts {
-    /// Lines in the stream.
-    pub records: u64,
-    /// `kind == "event"` lines.
-    pub events: u64,
-    /// `kind == "span_end"` lines (one per completed span).
-    pub spans: u64,
-    /// Event lines per event name.
-    pub per_name: BTreeMap<String, u64>,
-}
-
-/// One run's stream against its summary; `Err` names the first rule
-/// broken. Counters are recorded in-process and never dropped, so the
-/// stream can only ever run short of them — and must match exactly when
-/// the sink reports no drops.
-fn check_stream(
-    experiment: &str,
-    counts: &StreamCounts,
-    summary: &TelemetrySummary,
-    max_dropped: u64,
-) -> Result<(), String> {
-    if summary.experiment != experiment {
-        return Err(format!("summary names experiment `{}`", summary.experiment));
-    }
-    if summary.sink_dropped > max_dropped {
-        return Err(format!(
-            "sink dropped {} record(s), above the limit of {max_dropped}; \
-             the stream is too lossy to validate",
-            summary.sink_dropped
-        ));
-    }
-    let lossy = summary.sink_dropped > 0;
-    let consistent = |stream: u64, counted: u64| {
-        if lossy {
-            stream <= counted
-        } else {
-            stream == counted
-        }
-    };
-    if !consistent(counts.events, summary.events_recorded) {
-        return Err(format!(
-            "summary says {} events, stream has {}",
-            summary.events_recorded, counts.events
-        ));
-    }
-    if !consistent(counts.spans, summary.spans_recorded) {
-        return Err(format!(
-            "summary says {} spans, stream has {} span_end records",
-            summary.spans_recorded, counts.spans
-        ));
-    }
-    for (name, n) in &counts.per_name {
-        let counter = format!("event.{name}");
-        if !consistent(*n, summary.counter(&counter).unwrap_or(0)) {
-            return Err(format!(
-                "counter `{counter}` is {:?}, stream has {n} `{name}` events",
-                summary.counter(&counter)
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Judges each run's record stream against its summary: every
-/// `event.<name>` counter must equal the stream's events of that name,
-/// `events_recorded` and `spans_recorded` the stream's totals, and the
-/// sink may have dropped at most `max_dropped` records (below that, the
-/// stream may only run short of the counters). `streams` pairs each
-/// experiment with its walked stream — or why the walk failed — and its
-/// summary; an empty slice passes as skipped.
-pub fn stream_matches_summary(
-    streams: &[(&str, &Result<StreamCounts, String>, &TelemetrySummary)],
-    max_dropped: u64,
-) -> HealthVerdict {
-    let name = "stream-matches-summary";
-    if streams.is_empty() {
-        return skipped(name, "no record streams");
-    }
-    let mut failures = Vec::new();
-    let mut consistent = Vec::new();
-    let mut dropped = 0u64;
-    for (experiment, counts, summary) in streams {
-        let checked = counts
-            .as_ref()
-            .map_err(Clone::clone)
-            .and_then(|c| check_stream(experiment, c, summary, max_dropped).map(|()| c));
-        match checked {
-            Ok(c) => consistent.push(format!("{experiment} {}", c.records)),
-            Err(err) => failures.push(format!("{experiment}: {err}")),
-        }
-        dropped += summary.sink_dropped;
-    }
-    let detail = if failures.is_empty() {
-        let mut detail = format!(
-            "{} stream(s) match their summaries ({} record(s))",
-            consistent.len(),
-            consistent.join(", ")
-        );
-        if dropped > 0 {
-            detail.push_str(&format!(
-                "; the sinks dropped {dropped} record(s) (limit {max_dropped} per run), \
-                 so counters stay authoritative but the streams are incomplete"
-            ));
-        }
-        detail
-    } else {
-        failures.join("; ")
-    };
-    HealthVerdict {
-        name: name.to_owned(),
-        passed: failures.is_empty(),
-        detail,
-    }
-}
-
 /// Judges each run's time-series store: healthy when none lost more
 /// than `max_lost` points, late or past the series cap. `stores` pairs
 /// each experiment with its exported store; an empty slice passes as
@@ -272,7 +151,6 @@ pub fn timeseries_lossless(stores: &[(&str, &TimeSeriesExport)], max_lost: u64) 
 mod tests {
     use super::*;
     use crate::detect::{ChangeClass, DetectWindow, DetectedChange, GroupWindow};
-    use crp_telemetry::CounterEntry;
 
     /// A one-window report whose global group drifted `drifted_fraction`
     /// of its 20 hosts, with `changes` raised changes.
@@ -341,46 +219,6 @@ mod tests {
         let skipped = no_unexplained_tail_errors(0, 0, 0.02);
         assert!(skipped.passed);
         assert!(skipped.detail.starts_with("skipped"));
-    }
-
-    #[test]
-    fn stream_verdict_tolerates_only_short_lossy_streams() {
-        let summary = |sink_dropped: u64| TelemetrySummary {
-            experiment: "exp".to_owned(),
-            events_recorded: 4,
-            spans_recorded: 0,
-            sink_dropped,
-            counters: vec![CounterEntry {
-                name: "event.tick".to_owned(),
-                value: 4,
-            }],
-            gauges: Vec::new(),
-            histograms: Vec::new(),
-        };
-        let stream = |ticks: u64| -> Result<StreamCounts, String> {
-            Ok(StreamCounts {
-                records: ticks,
-                events: ticks,
-                spans: 0,
-                per_name: BTreeMap::from([("tick".to_owned(), ticks)]),
-            })
-        };
-        let verdict = |name, counts, dropped| {
-            stream_matches_summary(&[(name, &counts, &summary(dropped))], 100)
-        };
-        assert!(verdict("exp", stream(4), 0).detail.contains("exp 4"));
-        // A lossy sink may run short of the counters, never past them.
-        assert!(verdict("exp", stream(3), 1).passed);
-        assert!(!verdict("exp", stream(5), 1).passed);
-        let renamed = verdict("other", stream(4), 0).detail;
-        assert!(
-            renamed.contains("summary names experiment `exp`"),
-            "{renamed}"
-        );
-        assert_eq!(
-            verdict("exp", Err("gone".to_owned()), 0).detail,
-            "exp: gone"
-        );
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! The benches measure the cost of every moving part of the
 //! reproduction: similarity math, tracker updates, SMF clustering, the
 //! CDN mapping hot path, Meridian queries, and the per-figure experiment
-//! kernels at reduced scale. The Criterion benches under `benches/`
-//! consume the fixtures here; the `bench_all`/`bench_check` binaries
-//! additionally use [`harness`] for fixed-plan runs with machine-readable
-//! reports and regression gating.
+//! kernels at reduced scale. The `bench_all`/`bench_check` binaries
+//! time them over the fixtures here with [`harness`]: fixed-plan runs
+//! with machine-readable reports and regression gating.
 
 #![warn(
     clippy::unwrap_used,

@@ -701,18 +701,6 @@ impl Cdn {
                 Some((_, b)) if *b != best => {
                     self.remap_events.fetch_add(1, Ordering::Relaxed);
                     crp_telemetry::counter_add_at(now.as_millis(), "cdn.remap.events", 1);
-                    if crp_telemetry::enabled() {
-                        crp_telemetry::event(
-                            now.as_millis(),
-                            "cdn.remap",
-                            &[
-                                ("resolver", resolver.index().into()),
-                                ("from", b.index().into()),
-                                ("to", best.index().into()),
-                                ("epoch", epoch.into()),
-                            ],
-                        );
-                    }
                 }
                 _ => {}
             }

@@ -379,15 +379,13 @@ impl<N: Ord + Clone> Clustering<N> {
                     }
                     let other = clusters[cj].center.clone();
                     let s = cfg.metric.compare(maps[&center_node], maps[&other]);
-                    if crate::explain::enabled() {
-                        crate::explain::record_assignment(
-                            &other,
-                            Some(&center_node),
-                            s,
-                            cfg.threshold,
-                            s > cfg.threshold,
-                        );
-                    }
+                    crate::explain::record_assignment(
+                        &other,
+                        Some(&center_node),
+                        s,
+                        cfg.threshold,
+                        s > cfg.threshold,
+                    );
                     if s > cfg.threshold {
                         clusters[ci].members.push(other);
                         absorbed.insert(cj);
@@ -445,16 +443,13 @@ where
             best = Some((s, ci));
         }
     }
-    if crate::explain::enabled() {
-        let joined = matches!(best, Some((s, _)) if s > cfg.threshold);
-        crate::explain::record_assignment(
-            node,
-            best.map(|(_, ci)| &clusters[ci].center),
-            best.map_or(0.0, |(s, _)| s),
-            cfg.threshold,
-            joined,
-        );
-    }
+    crate::explain::record_assignment(
+        node,
+        best.map(|(_, ci)| &clusters[ci].center),
+        best.map_or(0.0, |(s, _)| s),
+        cfg.threshold,
+        matches!(best, Some((s, _)) if s > cfg.threshold),
+    );
     match best {
         Some((s, ci)) if s > cfg.threshold => {
             clusters[ci].members.push(node.clone());

@@ -18,9 +18,11 @@
 //!   explained (no shared replicas, weak signal).
 //!
 //! The layer follows the same contract as `debug_invariant!` and the
-//! telemetry gates: **zero cost when disabled**. Every hook site checks
-//! [`enabled`] — one relaxed atomic load — before formatting anything,
-//! so production paths and disabled experiment runs pay nothing, and the
+//! telemetry gates: **zero cost when disabled**. Every `record_*` hook
+//! checks [`enabled`] — one relaxed atomic load — first thing and
+//! returns before formatting or allocating anything while recording is
+//! off (`tests/hot_path_allocs.rs` pins this), so production paths and
+//! disabled experiment runs pay one branch per hook, and the
 //! recording itself never feeds back into any decision, preserving the
 //! workspace determinism contract (experiment outputs are byte-identical
 //! with provenance on or off; `tests/telemetry_determinism.rs` proves
@@ -30,10 +32,6 @@
 //! [`MAX_RECORDS_PER_KIND`]; further records increment a drop counter
 //! instead of growing the log, so an SMF run over thousands of nodes
 //! (O(n²) comparisons) cannot exhaust memory.
-//!
-//! Every `record_*` hook also returns at once while recording is off,
-//! so a call that skipped the [`enabled`] check still costs one branch
-//! and no allocation (`tests/hot_path_allocs.rs` pins this).
 
 use crate::ratio::RatioMap;
 use crate::similarity::SimilarityMetric;
@@ -187,8 +185,8 @@ fn log_slot() -> MutexGuard<'static, Option<ExplainLog>> {
     LOG.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Whether provenance recording is active. Hook sites must check this
-/// (one relaxed atomic load) before formatting any record content.
+/// Whether provenance recording is active (one relaxed atomic load).
+/// Each `record_*` hook checks it first thing, so call sites need not.
 #[inline]
 pub fn enabled() -> bool {
     stage::armed(stage::EXPLAIN)

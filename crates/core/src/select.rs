@@ -53,9 +53,7 @@ impl<N: Ord> Ranking<N> {
             })
             .collect();
         entries.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        if crate::explain::enabled() {
-            crate::explain::record_ranking(&entries);
-        }
+        crate::explain::record_ranking(&entries);
         crp_telemetry::trace::query_stage(crp_telemetry::stage::CORE_RANK.name);
         if let Some((_, top)) = entries.first() {
             crp_telemetry::observe_unit("core.rank.top_score", *top);

@@ -52,9 +52,7 @@ impl SimilarityMetric {
             SimilarityMetric::Jaccard => jaccard(a, b),
             SimilarityMetric::WeightedOverlap => weighted_overlap(a, b),
         };
-        if crate::explain::enabled() {
-            crate::explain::record_similarity(self, a, b, score);
-        }
+        crate::explain::record_similarity(self, a, b, score);
         crate::debug_invariant!(
             crate::invariant::check_unit_interval(score),
             "SimilarityMetric::{self:?}::compare"

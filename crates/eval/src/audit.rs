@@ -6,8 +6,8 @@
 //! The division of labour mirrors `telemetry.rs`: the *judgement* logic
 //! (what counts as drift, what counts as healthy) lives in
 //! [`crp_audit::report`] where it is unit-testable without files; this
-//! module feeds it. [`run_report`] computes the four run-health verdicts
-//! over the runs [`crate::telemetry::load`] read back, and rolls the
+//! module feeds it. [`run_report`] computes the three run-health verdicts
+//! over the manifests [`crate::telemetry::load`] read back, and rolls the
 //! manifests up — combined summary, per-run time-series drops,
 //! attributed allocation fractions, provenance counts, raised changes —
 //! next to the caller's wall-clock rows and failures.
@@ -19,7 +19,7 @@
 //! this module can perturb experiment outputs.
 
 use crate::closest::ClientOutcome;
-use crate::telemetry::{ObservedRun, RunManifest};
+use crate::telemetry::RunManifest;
 use crp::Scenario;
 use crp_audit::detect::DetectionReport;
 use crp_audit::report::{self, HealthVerdict};
@@ -40,10 +40,6 @@ pub const MAX_DRIFTED_FRACTION: f64 = 0.75;
 /// Tolerated fraction of rank inversions without a structural
 /// explanation for the `no-unexplained-tail-errors` verdict.
 pub const TAIL_TOLERANCE: f64 = 0.05;
-
-/// Sink drops tolerated by the `stream-matches-summary` verdict; past
-/// this the stream is too lossy to back the counter cross-check.
-pub const MAX_SINK_DROPPED: u64 = 100;
 
 /// Time-series points a run may lose, late or past the series cap,
 /// under the `timeseries-lossless` verdict: none. SimTime stamps are
@@ -195,7 +191,7 @@ impl ExperimentRollup {
 pub struct RunReport {
     /// Every verdict passed and no experiment failed.
     pub healthy: bool,
-    /// The four verdicts, in fixed order.
+    /// The three verdicts, in fixed order.
     pub verdicts: Vec<HealthVerdict>,
     /// Experiments that failed to run.
     pub failed_experiments: Vec<String>,
@@ -211,38 +207,49 @@ pub struct RunReport {
     pub changes_detected: u64,
 }
 
-/// Joins `runs` (as [`crate::telemetry::load`] read them) into a
-/// [`RunReport`]: the four verdicts — drift, tail errors, stream against
-/// summary, lossless time series — and the roll-ups. `wall_clock` and
-/// `failed_experiments` come from the caller: `run_all` supervised the
-/// runs, a standalone report passes none.
+/// Joins `manifests` (as [`crate::telemetry::load`] read them) into a
+/// [`RunReport`]: the three verdicts — drift, tail errors, lossless time
+/// series — and the roll-ups. `wall_clock` and `failed_experiments` come
+/// from the caller: `run_all` supervised the runs, a standalone report
+/// passes none.
 ///
 /// # Errors
 ///
-/// A manifest without a `summary` section: there is nothing to hold its
-/// stream against.
+/// A manifest without a `summary` section, or whose summary names
+/// another experiment: the run did not record what its manifest claims.
 pub fn run_report(
-    runs: &[ObservedRun],
+    manifests: &[RunManifest],
     wall_clock: Vec<WallClock>,
     failed_experiments: Vec<String>,
 ) -> Result<RunReport, String> {
-    let mut streams = Vec::with_capacity(runs.len());
-    for run in runs {
-        let m = &run.manifest;
+    let mut combined = TelemetrySummary {
+        experiment: "combined".to_owned(),
+        counters: Vec::new(),
+        gauges: Vec::new(),
+        histograms: Vec::new(),
+    };
+    for m in manifests {
         let summary = m
             .summary
             .as_ref()
             .ok_or_else(|| format!("manifest `{}` has no summary section", m.experiment))?;
-        streams.push((m.experiment.as_str(), &run.stream, summary));
+        if summary.experiment != m.experiment {
+            return Err(format!(
+                "manifest `{}` carries the summary of `{}`",
+                m.experiment, summary.experiment
+            ));
+        }
+        combined.merge(summary);
     }
-    let manifests = || runs.iter().map(|run| &run.manifest);
-    let detections: Vec<(&str, &DetectionReport)> = manifests()
+    let detections: Vec<(&str, &DetectionReport)> = manifests
+        .iter()
         .filter_map(|m| Some((m.experiment.as_str(), m.detect.as_ref()?)))
         .collect();
-    let stores: Vec<(&str, &TimeSeriesExport)> = manifests()
+    let stores: Vec<(&str, &TimeSeriesExport)> = manifests
+        .iter()
         .filter_map(|m| Some((m.experiment.as_str(), m.timeseries.as_ref()?)))
         .collect();
-    let experiments: Vec<ExperimentRollup> = manifests().map(ExperimentRollup::of).collect();
+    let experiments: Vec<ExperimentRollup> = manifests.iter().map(ExperimentRollup::of).collect();
     let (inversions, unexplained) = experiments
         .iter()
         .filter_map(|e| e.provenance.as_ref())
@@ -252,21 +259,8 @@ pub fn run_report(
     let verdicts = vec![
         report::drift_within_bounds(&detections, MAX_DRIFTED_FRACTION),
         report::no_unexplained_tail_errors(unexplained, inversions, TAIL_TOLERANCE),
-        report::stream_matches_summary(&streams, MAX_SINK_DROPPED),
         report::timeseries_lossless(&stores, MAX_LOST_POINTS),
     ];
-    let mut combined = TelemetrySummary {
-        experiment: "combined".to_owned(),
-        events_recorded: 0,
-        spans_recorded: 0,
-        sink_dropped: 0,
-        counters: Vec::new(),
-        gauges: Vec::new(),
-        histograms: Vec::new(),
-    };
-    for (_, _, summary) in &streams {
-        combined.merge(summary);
-    }
     Ok(RunReport {
         healthy: verdicts.iter().all(|v| v.passed) && failed_experiments.is_empty(),
         verdicts,
@@ -299,10 +293,8 @@ pub fn write_run_report(out_dir: &Path, report: &RunReport) -> Result<PathBuf, S
 mod tests {
     use super::*;
     use crp_audit::detect::{ChangeClass, DetectWindow, DetectedChange, GroupWindow};
-    use crp_audit::report::StreamCounts;
     use crp_core::explain::ExplainLog;
     use crp_telemetry::CounterEntry;
-    use std::collections::BTreeMap;
 
     /// A one-window detection report whose global group drifted
     /// `drifted_fraction` of its 20 hosts, with one raised change.
@@ -350,45 +342,34 @@ mod tests {
 
     /// A run every verdict passes on, each at its edge: drifted fraction
     /// 0.75 of bound 0.75, 1 of 20 inversions (5%) unexplained, no late
-    /// points, a stream that matches its summary exactly.
-    fn healthy_run(experiment: &str) -> ObservedRun {
+    /// points.
+    fn healthy_run(experiment: &str) -> RunManifest {
         let provenance = ExplainLog {
             inversions: (0..20).map(|i| inversion(i > 0)).collect(),
             ..ExplainLog::default()
         };
-        ObservedRun {
-            manifest: RunManifest {
+        RunManifest {
+            experiment: experiment.to_owned(),
+            summary: Some(TelemetrySummary {
                 experiment: experiment.to_owned(),
-                summary: Some(TelemetrySummary {
-                    experiment: experiment.to_owned(),
-                    events_recorded: 4,
-                    spans_recorded: 1,
-                    sink_dropped: 0,
-                    counters: vec![CounterEntry {
-                        name: "event.tick".to_owned(),
-                        value: 4,
-                    }],
-                    gauges: Vec::new(),
-                    histograms: Vec::new(),
-                }),
-                provenance: Some(provenance),
-                timeseries: Some(TimeSeriesExport {
-                    bounds: Vec::new(),
-                    tiers: Vec::new(),
-                    late_dropped: 0,
-                    series_dropped: 0,
-                    series: Vec::new(),
-                }),
-                traces: None,
-                mem: None,
-                detect: Some(detection(MAX_DRIFTED_FRACTION)),
-            },
-            stream: Ok(StreamCounts {
-                records: 6,
-                events: 4,
-                spans: 1,
-                per_name: BTreeMap::from([("tick".to_owned(), 4)]),
+                counters: vec![CounterEntry {
+                    name: "core.tracker.calls".to_owned(),
+                    value: 4,
+                }],
+                gauges: Vec::new(),
+                histograms: Vec::new(),
             }),
+            provenance: Some(provenance),
+            timeseries: Some(TimeSeriesExport {
+                bounds: Vec::new(),
+                tiers: Vec::new(),
+                late_dropped: 0,
+                series_dropped: 0,
+                series: Vec::new(),
+            }),
+            traces: None,
+            mem: None,
+            detect: Some(detection(MAX_DRIFTED_FRACTION)),
         }
     }
 
@@ -402,7 +383,6 @@ mod tests {
             [
                 "drift-within-bounds",
                 "no-unexplained-tail-errors",
-                "stream-matches-summary",
                 "timeseries-lossless"
             ]
         );
@@ -411,30 +391,12 @@ mod tests {
             .iter()
             .all(|v| !v.detail.starts_with("skipped")));
 
-        type Breakage = fn(&mut ObservedRun);
-        let broken: [(&str, Breakage, &str); 5] = [
-            (
-                "stream-matches-summary",
-                |run| {
-                    if let Ok(counts) = &mut run.stream {
-                        counts.per_name.insert("tick".to_owned(), 3);
-                    }
-                },
-                "counter `event.tick` is Some(4), stream has 3 `tick` events",
-            ),
-            (
-                "stream-matches-summary",
-                |run| {
-                    if let Some(summary) = &mut run.manifest.summary {
-                        summary.sink_dropped = MAX_SINK_DROPPED + 1;
-                    }
-                },
-                "sink dropped 101 record(s), above the limit of 100",
-            ),
+        type Breakage = fn(&mut RunManifest);
+        let broken: [(&str, Breakage, &str); 3] = [
             (
                 "timeseries-lossless",
                 |run| {
-                    if let Some(store) = &mut run.manifest.timeseries {
+                    if let Some(store) = &mut run.timeseries {
                         store.late_dropped = 1;
                     }
                 },
@@ -442,13 +404,13 @@ mod tests {
             ),
             (
                 "drift-within-bounds",
-                |run| run.manifest.detect = Some(detection(0.76)),
+                |run| run.detect = Some(detection(0.76)),
                 "max drifted fraction 0.760 (bound 0.750) in exp",
             ),
             (
                 "no-unexplained-tail-errors",
                 |run| {
-                    if let Some(log) = &mut run.manifest.provenance {
+                    if let Some(log) = &mut run.provenance {
                         log.inversions[1].explained = false;
                     }
                 },
@@ -489,11 +451,17 @@ mod tests {
     }
 
     #[test]
-    fn a_manifest_without_summary_is_malformed() {
+    fn a_manifest_without_its_own_summary_is_malformed() {
         let mut run = healthy_run("exp");
-        run.manifest.summary = None;
+        run.summary = None;
         let err = run_report(&[run], Vec::new(), Vec::new()).expect_err("malformed");
         assert_eq!(err, "manifest `exp` has no summary section");
+        let mut run = healthy_run("exp");
+        if let Some(summary) = &mut run.summary {
+            summary.experiment = "other".to_owned();
+        }
+        let err = run_report(&[run], Vec::new(), Vec::new()).expect_err("malformed");
+        assert_eq!(err, "manifest `exp` carries the summary of `other`");
     }
 
     #[test]
@@ -517,12 +485,12 @@ mod tests {
     fn run_report_rolls_up_and_round_trips_through_its_file() {
         let mut b = healthy_run("b");
         // An empty snapshot attributes everything it saw: nothing.
-        b.manifest.mem = Some(crp_telemetry::MemSnapshot {
+        b.mem = Some(crp_telemetry::MemSnapshot {
             domains: Vec::new(),
         });
         let runs = [healthy_run("a"), b];
         let report = run_report(&runs, Vec::new(), vec!["c".to_owned()]).expect("joins");
-        assert_eq!(report.combined.counter("event.tick"), Some(8));
+        assert_eq!(report.combined.counter("core.tracker.calls"), Some(8));
         assert_eq!(report.combined.experiment, "combined");
         assert_eq!(report.changes_detected, 2, "one raised change, twice");
         assert_eq!(report.attributed_fraction_min, Some(1.0));
@@ -544,7 +512,7 @@ mod tests {
         let raw = fs::read_to_string(&path).expect("readable");
         let back: RunReport = serde_json::from_str(&raw).expect("a RunReport");
         assert_eq!(back, report);
-        assert_eq!(back.verdicts.len(), 4);
+        assert_eq!(back.verdicts.len(), 3);
         for v in &back.verdicts {
             assert!(!v.detail.is_empty(), "verdict `{}` has no detail", v.name);
         }

@@ -33,18 +33,23 @@ fn main() {
     // Audit pass: classify tail-rank inversions into the provenance log
     // and scan the candidates' recorded history for drift, comparing
     // consecutive snapshots. Both read state the experiment already
-    // produced — nothing upstream changes.
+    // produced — nothing upstream changes. The scan starts one interval
+    // in: a map built from the first probes has not settled yet, so a
+    // window from SimTime::ZERO would judge warm-up, not drift.
     if telemetry.observing() {
         let (total, unexplained) =
             crp_eval::audit::record_inversions(&run.outcomes, cfg.candidates);
+        let interval = SimDuration::from_hours((cfg.observe_hours / 6).max(1));
         let mut detect_cfg = DetectConfig::new(
-            SimTime::ZERO,
+            SimTime::ZERO + interval,
             SimTime::from_hours(cfg.observe_hours),
-            SimDuration::from_hours((cfg.observe_hours / 6).max(1)),
+            interval,
         );
         detect_cfg.lag_windows = 1;
         // Candidate drift only: clustering stays off, churn is
-        // ablation_cluster_stability's job.
+        // ablation_cluster_stability's job. Its few windows stay under
+        // the detector's warmup, so the record is the drift features
+        // alone, not raised changes.
         let hosts = crp_eval::audit::region_scopes(&run.scenario, run.scenario.candidates());
         let report = crp_audit::detect::scan(&run.service, &hosts, &detect_cfg);
         println!("\n  audit:");
@@ -58,7 +63,6 @@ fn main() {
                 "max drifted fraction",
                 format!("{:.3}", report.max_drifted_fraction()),
             ),
-            ("changes raised", report.changes.len().to_string()),
         ]);
         telemetry.set_detect(report);
     }

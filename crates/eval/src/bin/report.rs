@@ -4,12 +4,11 @@
 //! report <observe-dir> [--out <dir>]
 //! ```
 //!
-//! Reads every `<experiment>_manifest.json` in the directory together
-//! with its `<experiment>.jsonl` stream, prints each run's live
-//! dashboard (time series, causal traces), joins the runs into
-//! the four run-health verdicts (drift, tail errors, stream against
-//! summary, lossless time series), prints one line per verdict, and
-//! writes `<out>/run_report.json` (default `results/`). Exits 0 when
+//! Reads every `<experiment>_manifest.json` in the directory, prints
+//! each run's live dashboard (time series, causal traces), joins the
+//! runs into the three run-health verdicts (drift, tail errors,
+//! lossless time series), prints one line per verdict, and writes
+//! `<out>/run_report.json` (default `results/`). Exits 0 when
 //! healthy, 1 when a verdict failed, and 2 on a usage error or a
 //! malformed manifest.
 
@@ -45,15 +44,15 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let joined = telemetry::load(&dir).and_then(|runs| {
-        if runs.is_empty() {
+    let joined = telemetry::load(&dir).and_then(|manifests| {
+        if manifests.is_empty() {
             return Err(format!("{}: no <experiment>_manifest.json", dir.display()));
         }
-        let report = audit::run_report(&runs, Vec::new(), Vec::new())?;
+        let report = audit::run_report(&manifests, Vec::new(), Vec::new())?;
         let path = audit::write_run_report(&out_dir, &report)?;
-        Ok((runs, report, path))
+        Ok((manifests, report, path))
     });
-    let (runs, report, path) = match joined {
+    let (manifests, report, path) = match joined {
         Ok(joined) => joined,
         Err(err) => {
             eprintln!("report: {err}");
@@ -61,8 +60,8 @@ fn main() -> ExitCode {
         }
     };
     let printed = output::emit(&mut std::io::stdout().lock(), |out| {
-        for run in &runs {
-            telemetry::dashboard(out, &run.manifest)?;
+        for manifest in &manifests {
+            telemetry::dashboard(out, manifest)?;
             writeln!(out)?;
         }
         for v in &report.verdicts {

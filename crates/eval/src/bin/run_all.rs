@@ -6,11 +6,11 @@
 //! ```
 //!
 //! Flags are forwarded verbatim to every experiment. With `--observe
-//! <dir>` each binary writes its record stream and run manifest there
-//! (see `crp_eval::telemetry`). At the end run_all joins the manifests
+//! <dir>` each binary writes its one run manifest there (see
+//! `crp_eval::telemetry`). At the end run_all joins the manifests
 //! with its own wall-clock rows (seconds and best-effort peak RSS from
 //! Linux `/proc`) and failure list into `<out>/run_report.json`: the
-//! four run-health verdicts and the roll-ups `crp_eval::audit` defines.
+//! three run-health verdicts and the roll-ups `crp_eval::audit` defines.
 //! The report is written on every run, even without `--observe`, so a
 //! partial run is visible in the artifact and not just in the exit
 //! code. Failed verdicts are printed, not fatal: run_all exits non-zero

@@ -20,10 +20,9 @@ pub struct EvalArgs {
     pub scale: Option<f64>,
     /// Output directory for CSV series (default `results`).
     pub out_dir: String,
-    /// Observe directory: arms every SimTime-side observer (metrics
-    /// and record stream, decision provenance and change-detection
-    /// scans, time series, causal traces, allocation attribution) and
-    /// writes `<dir>/<experiment>.jsonl` and
+    /// Observe directory: arms every SimTime-side observer (metrics,
+    /// decision provenance and change-detection scans, time series,
+    /// causal traces, allocation attribution) and writes one file,
     /// `<dir>/<experiment>_manifest.json` (see [`crate::telemetry`]).
     /// `None` leaves them all disarmed.
     pub observe: Option<String>,

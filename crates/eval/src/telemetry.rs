@@ -3,24 +3,20 @@
 //!
 //! Each binary calls [`session`] right after parsing its flags. With
 //! `--observe <dir>` the session arms every SimTime-side observer layer
-//! (see [`crp_telemetry::stage`]) for the whole run, and two files land
-//! in that one directory:
+//! (see [`crp_telemetry::stage`]) for the whole run, and one file lands
+//! in that directory: `<experiment>_manifest.json`, one [`RunManifest`]
+//! written when the returned [`TelemetrySession`] drops at the end of
+//! `main`. Each layer is one optional section of it: `summary` (the
+//! aggregated [`TelemetrySummary`]), `provenance` (the
+//! [`crp_core::explain`] decision log), `timeseries` and `traces` (the
+//! SimTime [time-series store](crp_telemetry::timeseries) and the
+//! sampled [causal traces](crp_telemetry::trace)), `mem` (the per-stage
+//! [allocation attribution](crp_telemetry::mem) snapshot), and `detect`,
+//! the change-detection report — the run's one drift record — that an
+//! auditing binary hands over with [`TelemetrySession::set_detect`].
 //!
-//! - `<experiment>.jsonl`: the record stream, written as the run goes;
-//! - `<experiment>_manifest.json`: one [`RunManifest`], written when the
-//!   returned [`TelemetrySession`] drops at the end of `main`. Each
-//!   layer is one optional section of it: `summary` (the aggregated
-//!   [`TelemetrySummary`]), `provenance` (the [`crp_core::explain`]
-//!   decision log), `timeseries` and `traces` (the SimTime
-//!   [time-series store](crp_telemetry::timeseries) and the sampled
-//!   [causal traces](crp_telemetry::trace)), `mem` (the per-stage
-//!   [allocation attribution](crp_telemetry::mem) snapshot), and
-//!   `detect`, the change-detection report — the run's one drift record
-//!   — that an auditing binary hands over with
-//!   [`TelemetrySession::set_detect`].
-//!
-//! [`load`] reads a directory back, manifests and streams together, and
-//! [`dashboard`] renders one run's live sections; the `report` binary
+//! [`load`] reads a directory's manifests back, and [`dashboard`]
+//! renders one run's live sections; the `report` binary
 //! and `run_all` join the loaded runs with [`crate::audit::run_report`].
 //! Every layer is a pure observer keyed on simulated time or
 //! wall-clock-side allocator traffic, so arming them never changes
@@ -37,12 +33,11 @@
 
 use crate::EvalArgs;
 use crp_audit::detect::DetectionReport;
-use crp_audit::report::StreamCounts;
 use crp_core::explain::ExplainLog;
 use crp_telemetry::timeseries::{self, TimeSeriesExport};
 use crp_telemetry::trace::{self, TraceLog};
-use crp_telemetry::{JsonlSink, MemSnapshot, TelemetrySummary};
-use serde::{Deserialize, Serialize, Value};
+use crp_telemetry::{MemSnapshot, TelemetrySummary};
+use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -72,29 +67,15 @@ impl TelemetrySession {
     }
 }
 
-/// Installs the JSONL sink at `path`. A sink failure (unwritable
-/// directory) degrades to metrics-only collection with a warning rather
-/// than aborting the experiment.
-fn install_sink(path: &Path) {
-    match JsonlSink::create(path) {
-        Ok(sink) => crp_telemetry::install(Box::new(sink)),
-        Err(err) => {
-            eprintln!(
-                "[telemetry] cannot create {}: {err}; collecting metrics only",
-                path.display()
-            );
-            crp_telemetry::install_metrics_only();
-        }
-    }
-}
-
 /// Arms the observers `args` asks for, for `experiment`.
 pub fn session(args: &EvalArgs, experiment: &'static str) -> TelemetrySession {
     let observe_dir = args.observe.as_ref().map(PathBuf::from);
     if let Some(dir) = &observe_dir {
-        // The sink path is freed before attribution starts, so the
-        // manifest does not depend on where the run writes it.
-        install_sink(&dir.join(format!("{experiment}.jsonl")));
+        // The directory exists before attribution starts, so the
+        // manifest does not depend on whether the run had to create it.
+        // A failure surfaces when the manifest is written.
+        let _ = fs::create_dir_all(dir);
+        crp_telemetry::install();
         crp_core::explain::start();
         timeseries::start(timeseries::TimeSeriesConfig::default());
         trace::start(trace::TraceConfig::default());
@@ -186,27 +167,15 @@ impl Drop for TelemetrySession {
     }
 }
 
-/// One observed run read back from an observe directory: its manifest
-/// and the walk over its record stream.
-#[derive(Debug)]
-pub struct ObservedRun {
-    /// The run's `<experiment>_manifest.json`.
-    pub manifest: RunManifest,
-    /// What the `<experiment>.jsonl` walk counted, or why it failed.
-    pub stream: Result<StreamCounts, String>,
-}
-
-/// Reads every `<experiment>_manifest.json` in `dir` together with its
-/// `<experiment>.jsonl` stream, sorted by experiment so the joined
-/// report is byte-stable regardless of directory order. A stream that
-/// cannot be read or walked is recorded on the run, not returned as an
-/// error: it fails the stream verdict, it does not void the report.
+/// Reads every `<experiment>_manifest.json` in `dir`, sorted by
+/// experiment so the joined report is byte-stable regardless of
+/// directory order.
 ///
 /// # Errors
 ///
 /// An unreadable directory, or a malformed manifest: bad JSON, a wrong
 /// shape, or an `experiment` field that disagrees with its file name.
-pub fn load(dir: &Path) -> Result<Vec<ObservedRun>, String> {
+pub fn load(dir: &Path) -> Result<Vec<RunManifest>, String> {
     let entries = fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let mut found: Vec<(String, PathBuf)> = entries
         .filter_map(|entry| {
@@ -230,43 +199,9 @@ pub fn load(dir: &Path) -> Result<Vec<ObservedRun>, String> {
                     manifest.experiment
                 ));
             }
-            let stream = walk_stream(&dir.join(format!("{experiment}.jsonl")));
-            Ok(ObservedRun { manifest, stream })
+            Ok(manifest)
         })
         .collect()
-}
-
-fn str_field(value: &Value, name: &str) -> Result<String, serde::Error> {
-    match value.field(name)? {
-        Value::String(s) => Ok(s.clone()),
-        other => Err(serde::Error::custom(format!(
-            "field `{name}` is not a string: {other:?}"
-        ))),
-    }
-}
-
-/// Counts a JSONL record stream: lines, events per name and completed
-/// spans. `Err` on an unreadable file, a malformed line or an unknown
-/// record kind.
-fn walk_stream(path: &Path) -> Result<StreamCounts, String> {
-    let raw = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut counts = StreamCounts::default();
-    for (i, line) in raw.lines().enumerate() {
-        let at = |e: &dyn std::fmt::Display| format!("{}:{}: {e}", path.display(), i + 1);
-        let value = serde_json::parse(line).map_err(|e| at(&format!("malformed JSONL: {e}")))?;
-        counts.records += 1;
-        match str_field(&value, "kind").map_err(|e| at(&e))?.as_str() {
-            "event" => {
-                counts.events += 1;
-                let name = str_field(&value, "name").map_err(|e| at(&e))?;
-                *counts.per_name.entry(name).or_insert(0) += 1;
-            }
-            "span_end" => counts.spans += 1,
-            "span_start" => {}
-            other => return Err(at(&format!("unknown record kind `{other}`"))),
-        }
-    }
-    Ok(counts)
 }
 
 fn hours(ms: u64) -> f64 {
@@ -412,8 +347,8 @@ mod tests {
         drop(s);
         assert!(crp_telemetry::shutdown("t_disabled").is_none());
 
-        // --observe arms every SimTime-side layer and writes the stream
-        // and one manifest into the one directory.
+        // --observe arms every SimTime-side layer and writes one
+        // manifest into the directory.
         let dir = std::env::temp_dir().join("crp-eval-observe-test");
         let _ = fs::remove_dir_all(&dir);
         let args = EvalArgs {
@@ -426,7 +361,6 @@ mod tests {
         assert_eq!(stage::mask(), layers, "--observe arms all but the profiler");
         assert!(s.observing());
         crp_telemetry::counter_add("test.calls", 3);
-        crp_telemetry::event(5, "test.tick", &[]);
         {
             crp_telemetry::stage!(AUDIT_DETECT_SCAN);
             let _buf: Vec<u8> = Vec::with_capacity(64);
@@ -452,12 +386,10 @@ mod tests {
             .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
             .collect();
         files.sort();
-        assert_eq!(files, ["t_obs.jsonl", "t_obs_manifest.json"]);
+        assert_eq!(files, ["t_obs_manifest.json"]);
         let runs = load(&dir).expect("loads");
         assert_eq!(runs.len(), 1);
-        let run = &runs[0];
-        assert!(run.stream.is_ok(), "{:?}", run.stream);
-        let m = &run.manifest;
+        let m = &runs[0];
         assert_eq!(m.experiment, "t_obs");
         let summary = m.summary.as_ref().expect("summary section");
         assert_eq!(summary.experiment, "t_obs");
@@ -524,16 +456,10 @@ mod tests {
         for exp in ["zeta", "alpha"] {
             fs::write(dir.join(format!("{exp}{MANIFEST_SUFFIX}")), manifest(exp)).expect("write");
         }
-        fs::write(dir.join("alpha.jsonl"), "{\"kind\":\"span_end\"}\n").expect("write");
         fs::write(dir.join("alpha_notes.json"), "not a manifest").expect("write");
         let runs = load(&dir).expect("loads");
-        let names: Vec<&str> = runs
-            .iter()
-            .map(|r| r.manifest.experiment.as_str())
-            .collect();
+        let names: Vec<&str> = runs.iter().map(|m| m.experiment.as_str()).collect();
         assert_eq!(names, ["alpha", "zeta"]);
-        assert_eq!(runs[0].stream.as_ref().map(|c| c.spans), Ok(1));
-        assert!(runs[1].stream.is_err(), "zeta has no stream");
 
         fs::write(
             dir.join(format!("beta{MANIFEST_SUFFIX}")),

@@ -10,7 +10,8 @@ use crp_netsim::{SimDuration, SimTime};
 use crp_telemetry::profile::ProfileNode;
 use crp_telemetry::{mem, profile, stage, timeseries, trace};
 
-/// Names the stages carried before the registry named each once.
+/// Names the stages carried before the registry named each once, and
+/// the `event.<name>` counters of the retired record stream.
 const RETIRED: &[&str] = &[
     "cdn.answer",
     "cdn.queries",
@@ -35,6 +36,10 @@ const RETIRED: &[&str] = &[
     "detect.remap_fraction",
     "detect.drift_level",
     "detect.changes_raised",
+    "event.cdn.remap",
+    "event.scenario.host_observed",
+    "event.meridian.entry_fault",
+    "event.detect.change",
 ];
 
 fn profile_names<'a>(node: &'a ProfileNode, out: &mut Vec<&'a str>) {
@@ -46,7 +51,7 @@ fn profile_names<'a>(node: &'a ProfileNode, out: &mut Vec<&'a str>) {
 
 #[test]
 fn every_stage_reports_under_its_one_name() {
-    crp_telemetry::install_metrics_only();
+    crp_telemetry::install();
     profile::start();
     mem::start();
     timeseries::start(timeseries::TimeSeriesConfig::default());

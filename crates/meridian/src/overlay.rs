@@ -253,17 +253,6 @@ impl MeridianOverlay {
         // Entry-node faults.
         if let Some(behavior) = self.faults.behavior_at(entry, t) {
             crp_telemetry::counter_add("meridian.faulted_entries", 1);
-            if crp_telemetry::enabled() {
-                let kind = match behavior {
-                    FaultBehavior::SelfRecommend => "self_recommend",
-                    FaultBehavior::SiteIsolated { .. } => "site_isolated",
-                };
-                crp_telemetry::event(
-                    t.as_millis(),
-                    "meridian.entry_fault",
-                    &[("entry", entry.index().into()), ("kind", kind.into())],
-                );
-            }
             let selected = match behavior {
                 FaultBehavior::SelfRecommend => entry,
                 FaultBehavior::SiteIsolated { twin } => {

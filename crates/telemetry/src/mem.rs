@@ -15,8 +15,8 @@
 //! Boundary rules (the same contract as the profiler):
 //!
 //! - Attribution is **wall-clock-side observability**: nothing here
-//!   reads or writes SimTime state, the record stream, or the metric
-//!   registers, so arming it cannot perturb a seeded experiment
+//!   reads or writes SimTime state or the metric registers, so arming
+//!   it cannot perturb a seeded experiment
 //!   (`tests/telemetry_determinism.rs` proves it).
 //! - The allocator hooks must be **allocation-free and lock-free**: the
 //!   domain registry is a fixed-size table of atomics, the per-thread

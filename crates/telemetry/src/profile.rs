@@ -1,5 +1,5 @@
 //! Wall-clock profiling — the *other* half of observability, kept
-//! strictly apart from the deterministic SimTime record stream.
+//! strictly apart from the deterministic SimTime metrics.
 //!
 //! Everything else in this crate is keyed on simulated time so that
 //! enabling telemetry cannot perturb a seeded experiment. That contract
@@ -16,8 +16,8 @@
 //! - [`finish`] condenses the tree into a serializable [`ProfileNode`]
 //!   for `<experiment>_profile.json`.
 //!
-//! The profiler never writes into the record stream or the metric
-//! registers, so the telemetry determinism contract (and the on/off
+//! The profiler never writes into the metric registers or the time
+//! series, so the telemetry determinism contract (and the on/off
 //! determinism test) is untouched: profile output is wall-clock data by
 //! definition and is excluded from any byte-comparison. Like the
 //! collector, the whole machinery hides behind one relaxed load of the

@@ -16,7 +16,7 @@
 //! With none armed, that load and one branch are the whole cost. The
 //! guard lives in [`profile`](crate::profile), the one module allowed
 //! to read the wall clock. Value-carrying hooks (trace stages, explain
-//! payloads, histograms, events) stay explicit at their sites.
+//! payloads, histograms) stay explicit at their sites.
 //!
 //! ```
 //! use crp_telemetry::{profile, stage};
@@ -31,7 +31,7 @@
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
-/// The metrics collector (counters, gauges, histograms, record sink).
+/// The metrics collector (counters, gauges, histograms).
 pub const METRICS: u32 = 1 << 0;
 /// The wall-clock profiler.
 pub const PROFILE: u32 = 1 << 1;

@@ -30,12 +30,6 @@ pub struct GaugeEntry {
 pub struct TelemetrySummary {
     /// Experiment name (usually the eval binary name).
     pub experiment: String,
-    /// Total events emitted to the sink.
-    pub events_recorded: u64,
-    /// Total spans completed (start/end pairs emitted).
-    pub spans_recorded: u64,
-    /// Records the sink failed to persist (0 for memory/no-op sinks).
-    pub sink_dropped: u64,
     /// Counters, sorted by name.
     pub counters: Vec<CounterEntry>,
     /// Gauges, sorted by name.
@@ -67,8 +61,7 @@ impl TelemetrySummary {
     /// `combined` entry `run_all` writes).
     ///
     /// Semantics per layer:
-    /// - `events_recorded`/`spans_recorded`/`sink_dropped` and counters
-    ///   add, saturating at `u64::MAX` like live counters do;
+    /// - counters add, saturating at `u64::MAX` like live counters do;
     /// - gauges keep last-write-wins: `other`'s value replaces ours;
     /// - histogram digests merge approximately — counts add, min/max
     ///   widen, means combine count-weighted, and percentiles take the
@@ -79,9 +72,6 @@ impl TelemetrySummary {
     /// Collections stay name-sorted, so merging preserves the
     /// byte-stable serialization order.
     pub fn merge(&mut self, other: &TelemetrySummary) {
-        self.events_recorded = self.events_recorded.saturating_add(other.events_recorded);
-        self.spans_recorded = self.spans_recorded.saturating_add(other.spans_recorded);
-        self.sink_dropped = self.sink_dropped.saturating_add(other.sink_dropped);
         for c in &other.counters {
             if let Some(mine) = self.counters.iter_mut().find(|m| m.name == c.name) {
                 mine.value = mine.value.saturating_add(c.value);
@@ -138,9 +128,6 @@ mod tests {
     fn sample() -> TelemetrySummary {
         TelemetrySummary {
             experiment: "fig9_window_size".to_owned(),
-            events_recorded: 3,
-            spans_recorded: 1,
-            sink_dropped: 0,
             counters: vec![
                 CounterEntry {
                     name: "cdn.authoritative_answer.calls".to_owned(),
@@ -200,8 +187,6 @@ mod tests {
         });
         b.gauges[0].value = 9.0;
         a.merge(&b);
-        assert_eq!(a.events_recorded, 6);
-        assert_eq!(a.spans_recorded, 2);
         assert_eq!(a.counter("cdn.authoritative_answer.calls"), Some(240));
         assert_eq!(a.counter("core.similarity.calls"), Some(1800));
         assert_eq!(a.counter("aaa.first"), Some(7));
@@ -217,11 +202,9 @@ mod tests {
     fn merge_saturates_counters_at_u64_max() {
         let mut a = sample();
         a.counters[0].value = u64::MAX - 10;
-        a.events_recorded = u64::MAX;
         let b = sample();
         a.merge(&b);
         assert_eq!(a.counter("cdn.authoritative_answer.calls"), Some(u64::MAX));
-        assert_eq!(a.events_recorded, u64::MAX);
     }
 
     #[test]

@@ -202,32 +202,15 @@ impl Scenario {
     ) -> CrpService<HostId, ReplicaId> {
         crp_telemetry::stage!(SCENARIO_OBSERVE);
         let mut service = CrpService::new(window, metric);
-        let campaign = crp_telemetry::span(
-            start.as_millis(),
-            crp_telemetry::stage::SCENARIO_OBSERVE.name,
-        );
         for &host in hosts {
             let mut probe = CdnProbe::new(&self.cdn, host, self.names.to_vec())
                 .filter_cdn_owned(self.filter_cdn_owned);
-            let mut recorded = 0u64;
             for t in start.iter_until(end, interval) {
                 if let Some(servers) = probe.observe(t) {
                     service.record(host, t, servers);
-                    recorded += 1;
                 }
             }
-            if crp_telemetry::enabled() {
-                crp_telemetry::event(
-                    end.as_millis(),
-                    "scenario.host_observed",
-                    &[
-                        ("host", host.index().into()),
-                        ("observations", recorded.into()),
-                    ],
-                );
-            }
         }
-        campaign.end(end.as_millis());
         if crp_telemetry::timeseries::enabled() {
             use crp_telemetry::MemFootprint;
             crp_telemetry::observe_at(

@@ -8,9 +8,8 @@ use crp::{Scenario, ScenarioConfig};
 use crp_core::{SimilarityMetric, WindowPolicy};
 use crp_netsim::{SimDuration, SimTime};
 use crp_telemetry::stage::{self, EXPLAIN, MEM, METRICS, PROFILE, TIMESERIES, TRACE};
-use crp_telemetry::{mem, profile, timeseries, trace, MemorySink, Record};
+use crp_telemetry::{mem, profile, timeseries, trace};
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
 
 const LAYERS: [u32; 6] = [METRICS, PROFILE, MEM, TIMESERIES, TRACE, EXPLAIN];
 
@@ -124,13 +123,11 @@ fn observed_run(layers: u32, baseline: &str) -> Vec<(u32, String)> {
     if layers & EXPLAIN != 0 {
         crp_core::explain::start();
     }
-    let records = (layers & METRICS != 0).then(|| {
-        let (sink, records) = MemorySink::shared();
-        crp_telemetry::install(Box::new(sink));
-        records
-    });
+    if layers & METRICS != 0 {
+        crp_telemetry::install();
+    }
     let output = campaign_fingerprint();
-    let artifacts = finish(layers, records);
+    let artifacts = finish(layers);
     assert_eq!(
         output, baseline,
         "layers {layers:#08b} changed experiment output"
@@ -142,15 +139,13 @@ fn observed_run(layers: u32, baseline: &str) -> Vec<(u32, String)> {
 /// artifacts, checking that its hooks fired and that exactly the armed
 /// layers left one. The profile tree is wall-clock data, so only its
 /// presence counts.
-fn finish(layers: u32, records: Option<Arc<Mutex<Vec<Record>>>>) -> Vec<(u32, String)> {
+fn finish(layers: u32) -> Vec<(u32, String)> {
     let mut out = Vec::new();
     if let Some(summary) = crp_telemetry::shutdown("determinism") {
         assert!(
             summary.counter(stage::CORE_TRACKER.calls).unwrap_or(0) > 0,
             "instrumentation did not fire: {summary:?}"
         );
-        let records = records.expect("metrics armed with a memory sink");
-        assert!(!records.lock().expect("sink store").is_empty());
         out.push((METRICS, json!(summary.counters)));
         out.push((METRICS, json!(summary.histograms)));
     }
