@@ -778,10 +778,6 @@ impl AuthoritativeServer for Cdn {
     /// (CDN-owned address) or an answer scattered across a much wider
     /// pool — reproducing the behavior the paper observed for clients in
     /// regions Akamai served badly.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "customer indices come from by_domain, ReplicaIds are minted by this Cdn, and each pool width is clamped to its slice's length"
-    )]
     fn authoritative_answer(
         &self,
         query: &DomainName,
@@ -790,6 +786,10 @@ impl AuthoritativeServer for Cdn {
     ) -> Option<DnsResponse> {
         crp_telemetry::stage!(CDN_AUTHORITATIVE_ANSWER, now.as_millis());
         let customer_idx = *self.by_domain.get(query)?;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "customer indices come from by_domain"
+        )]
         let customer = &self.customers[customer_idx];
         self.queries_answered.fetch_add(1, Ordering::Relaxed);
         // The redirection event is where a causal trace is born: the id
@@ -840,6 +840,7 @@ impl AuthoritativeServer for Cdn {
 
             if well_covered {
                 crp_telemetry::counter_add_at(now.as_millis(), "cdn.answers.load_balanced", 1);
+                #[expect(clippy::indexing_slicing, reason = "the width is clamped to ranked")]
                 let pool = &ranked[..ranked.len().min(self.effective_lb_pool(now))];
                 self.weighted_pick_into(
                     pool,
@@ -899,6 +900,7 @@ impl AuthoritativeServer for Cdn {
                         .effective_lb_pool(now)
                         .saturating_mul(self.cfg.scatter_factor)
                         .min(scattered.len());
+                    #[expect(clippy::indexing_slicing, reason = "width is clamped to scattered")]
                     self.weighted_pick_into(
                         &scattered[..width],
                         self.cfg.answers_per_response,
@@ -915,6 +917,7 @@ impl AuthoritativeServer for Cdn {
                 return None;
             }
             for id in picked.iter() {
+                #[expect(clippy::indexing_slicing, reason = "ReplicaIds are minted by this Cdn")]
                 self.per_replica_answers[id.index()].fetch_add(1, Ordering::Relaxed);
             }
             Some(DnsResponse::new(

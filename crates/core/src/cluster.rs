@@ -281,15 +281,7 @@ impl<N: Ord + Clone> Clustering<N> {
     ///
     /// Panics if the threshold is outside `[0, 1]` or a node id appears
     /// twice.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "ci and cj index clusters, pos indexes lone, and every center is a key of maps"
-    )]
-    pub fn smf<K>(nodes: &[(N, RatioMap<K>)], cfg: &SmfConfig) -> Clustering<N>
-    where
-        N: std::fmt::Debug,
-        K: Ord + Clone + std::fmt::Debug,
-    {
+    pub fn smf<K: Ord + Clone>(nodes: &[(N, RatioMap<K>)], cfg: &SmfConfig) -> Clustering<N> {
         crp_telemetry::stage!(CORE_SMF);
         cfg.validate();
         let ids: BTreeSet<&N> = nodes.iter().map(|(n, _)| n).collect();
@@ -372,21 +364,19 @@ impl<N: Ord + Clone> Clustering<N> {
                 if absorbed.contains(&ci) {
                     continue;
                 }
+                #[expect(clippy::indexing_slicing, reason = "lone indexes clusters")]
                 let center_node = clusters[ci].center.clone();
+                #[expect(clippy::indexing_slicing, reason = "pos indexes lone")]
                 for &cj in &lone[pos + 1..] {
                     if absorbed.contains(&cj) {
                         continue;
                     }
+                    #[expect(clippy::indexing_slicing, reason = "lone indexes clusters")]
                     let other = clusters[cj].center.clone();
+                    #[expect(clippy::indexing_slicing, reason = "every center is a key of maps")]
                     let s = cfg.metric.compare(maps[&center_node], maps[&other]);
-                    crate::explain::record_assignment(
-                        &other,
-                        Some(&center_node),
-                        s,
-                        cfg.threshold,
-                        s > cfg.threshold,
-                    );
                     if s > cfg.threshold {
+                        #[expect(clippy::indexing_slicing, reason = "lone indexes clusters")]
                         clusters[ci].members.push(other);
                         absorbed.insert(cj);
                         merges += 1;
@@ -420,10 +410,6 @@ impl<N: Ord + Clone> Clustering<N> {
 
 /// Attempts to join `node` to the active cluster whose center is most
 /// similar, returning whether it joined.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "active_centers holds indices into clusters, and every center is a key of maps"
-)]
 fn try_join<N, K>(
     map: &RatioMap<K>,
     node: &N,
@@ -433,25 +419,23 @@ fn try_join<N, K>(
     cfg: &SmfConfig,
 ) -> bool
 where
-    N: Ord + Clone + std::fmt::Debug,
-    K: Ord + Clone + std::fmt::Debug,
+    N: Ord + Clone,
+    K: Ord + Clone,
 {
     let mut best: Option<(f64, usize)> = None;
     for &ci in active_centers {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "active_centers indexes clusters, and every center is a key of maps"
+        )]
         let s = cfg.metric.compare(map, maps[&clusters[ci].center]);
         if best.is_none_or(|(bs, _)| s > bs) {
             best = Some((s, ci));
         }
     }
-    crate::explain::record_assignment(
-        node,
-        best.map(|(_, ci)| &clusters[ci].center),
-        best.map_or(0.0, |(s, _)| s),
-        cfg.threshold,
-        matches!(best, Some((s, _)) if s > cfg.threshold),
-    );
     match best {
         Some((s, ci)) if s > cfg.threshold => {
+            #[expect(clippy::indexing_slicing, reason = "ci came from active_centers")]
             clusters[ci].members.push(node.clone());
             true
         }

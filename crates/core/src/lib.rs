@@ -17,10 +17,7 @@
 //! * [`quality`] — intra-/inter-cluster distance metrics and the "good
 //!   cluster" criterion of Fig. 6;
 //! * [`CrpService`] — a façade tying the pieces into the stand-alone
-//!   service the paper sketches;
-//! * [`explain`] — opt-in decision provenance: per-replica similarity
-//!   contributions, ranking margins and SMF assignment rationales,
-//!   recorded only when explicitly enabled.
+//!   service the paper sketches.
 //!
 //! The algorithms are generic over the replica-server key type `K` and
 //! the node identifier type `N`, so they run identically against the
@@ -55,8 +52,6 @@
 )]
 
 pub mod cluster;
-pub mod counting;
-pub mod explain;
 pub mod invariant;
 pub mod observation;
 pub mod quality;
@@ -69,8 +64,6 @@ pub mod snapshot;
 pub mod tracker;
 
 pub use cluster::{CenterStrategy, Cluster, Clustering, SmfConfig};
-pub use counting::CountingTracker;
-pub use explain::ExplainLog;
 pub use observation::{Observation, ObservationSource};
 pub use quality::{ClusterQuality, QualityReport};
 pub use ratio::{RatioMap, RatioMapError};

@@ -38,47 +38,11 @@ impl<K> Observation<K> {
 /// A stream of redirection observations for one node.
 ///
 /// The production source is a recursive DNS lookup against the CDN (the
-/// `crp` façade crate provides that glue); tests drive the algorithms
-/// with scripted sources.
+/// `crp` façade crate provides that glue).
 pub trait ObservationSource<K> {
     /// Performs one probe at time `t`, returning the replica servers the
     /// CDN redirected this node to, or `None` if the probe failed.
     fn observe(&mut self, t: SimTime) -> Option<Vec<K>>;
-}
-
-/// A scripted observation source that replays a fixed sequence — handy
-/// for tests and examples.
-///
-/// # Example
-///
-/// ```
-/// use crp_core::observation::{ObservationSource, ScriptedSource};
-/// use crp_netsim::SimTime;
-///
-/// let mut src = ScriptedSource::new(vec![Some(vec!["r1"]), None]);
-/// assert_eq!(src.observe(SimTime::ZERO), Some(vec!["r1"]));
-/// assert_eq!(src.observe(SimTime::ZERO), None);
-/// assert_eq!(src.observe(SimTime::ZERO), None); // exhausted
-/// ```
-#[derive(Clone, Debug)]
-pub struct ScriptedSource<K> {
-    script: std::collections::VecDeque<Option<Vec<K>>>,
-}
-
-impl<K> ScriptedSource<K> {
-    /// Creates a source replaying `script` in order, then returning
-    /// `None` forever.
-    pub fn new(script: Vec<Option<Vec<K>>>) -> Self {
-        ScriptedSource {
-            script: script.into(),
-        }
-    }
-}
-
-impl<K> ObservationSource<K> for ScriptedSource<K> {
-    fn observe(&mut self, _t: SimTime) -> Option<Vec<K>> {
-        self.script.pop_front().flatten()
-    }
 }
 
 #[cfg(test)]
@@ -96,14 +60,5 @@ mod tests {
         let o = Observation::new(SimTime::from_secs(5), vec!["b", "a"]);
         assert_eq!(o.servers, vec!["b", "a"]);
         assert_eq!(o.time, SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn scripted_source_replays_then_dries_up() {
-        let mut src = ScriptedSource::new(vec![Some(vec![1u32, 2]), None, Some(vec![3])]);
-        assert_eq!(src.observe(SimTime::ZERO), Some(vec![1, 2]));
-        assert_eq!(src.observe(SimTime::ZERO), None);
-        assert_eq!(src.observe(SimTime::ZERO), Some(vec![3]));
-        assert_eq!(src.observe(SimTime::ZERO), None);
     }
 }

@@ -159,33 +159,6 @@ impl<K: Ord + Clone> RatioMap<K> {
         score
     }
 
-    /// Decomposes the cosine similarity with `other` into additive
-    /// per-replica shares: entry `(k, s)` means replica `k` contributes
-    /// `s` to [`cosine_similarity`], and the shares sum to the score.
-    /// Only shared replicas appear (disjoint keys contribute zero);
-    /// strongest share first, ties toward the smaller key. This is the
-    /// decision-provenance primitive behind `explain`.
-    ///
-    /// [`cosine_similarity`]: RatioMap::cosine_similarity
-    pub fn cosine_contributions<'a>(&'a self, other: &'a RatioMap<K>) -> Vec<(&'a K, f64)> {
-        let denom = self.l2_norm() * other.l2_norm();
-        let (small, large) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let mut shares: Vec<(&K, f64)> = small
-            .entries
-            .iter()
-            .filter_map(|(k, v)| {
-                let w = large.get(k);
-                (w > 0.0).then(|| (k, v * w / denom))
-            })
-            .collect();
-        shares.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        shares
-    }
-
     /// The L1 (Manhattan) distance to `other` over the union of replica
     /// keys, in `[0, 2]`. 0 means identical redirection behavior; 2
     /// means fully disjoint replica sets. This is the drift metric the
@@ -369,26 +342,6 @@ mod tests {
         let (k, v) = m.strongest();
         assert_eq!(*k, "a");
         assert!((v - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cosine_contributions_sum_to_score() {
-        let a = map(&[("x", 0.2), ("y", 0.8)]);
-        let b = map(&[("x", 0.6), ("y", 0.4)]);
-        let shares = a.cosine_contributions(&b);
-        assert_eq!(shares.len(), 2);
-        let total: f64 = shares.iter().map(|(_, s)| s).sum();
-        assert!((total - a.cosine_similarity(&b)).abs() < 1e-12);
-        // Strongest share first.
-        assert!(shares[0].1 >= shares[1].1);
-        // Only shared replicas contribute.
-        let c = map(&[("x", 0.5), ("z", 0.5)]);
-        let shares = a.cosine_contributions(&c);
-        assert_eq!(shares.len(), 1);
-        assert_eq!(*shares[0].0, "x");
-        // Disjoint maps have no contributions.
-        let d = map(&[("q", 1.0)]);
-        assert!(a.cosine_contributions(&d).is_empty());
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl fmt::Display for RelativeOrder {
 /// assert!(matches!(order, RelativeOrder::CloserB { .. })); // C wins
 /// # Ok::<(), crp_core::RatioMapError>(())
 /// ```
-pub fn relative_position<K: Ord + Clone + std::fmt::Debug>(
+pub fn relative_position<K: Ord + Clone>(
     a: &RatioMap<K>,
     b: &RatioMap<K>,
     reference: &RatioMap<K>,

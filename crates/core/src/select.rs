@@ -40,8 +40,7 @@ impl<N: Ord> Ranking<N> {
     /// ordering signal.
     pub fn rank<'a, K, I>(client: &RatioMap<K>, candidates: I, metric: SimilarityMetric) -> Self
     where
-        N: std::fmt::Debug,
-        K: Ord + Clone + std::fmt::Debug + 'a,
+        K: Ord + Clone + 'a,
         I: IntoIterator<Item = (N, &'a RatioMap<K>)>,
     {
         crp_telemetry::stage!(CORE_RANK);
@@ -53,7 +52,6 @@ impl<N: Ord> Ranking<N> {
             })
             .collect();
         entries.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        crate::explain::record_ranking(&entries);
         crp_telemetry::trace::query_stage(crp_telemetry::stage::CORE_RANK.name);
         if let Some((_, top)) = entries.first() {
             crp_telemetry::observe_unit("core.rank.top_score", *top);

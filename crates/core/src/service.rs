@@ -45,8 +45,8 @@ pub struct CrpService<N: Ord, K> {
 
 impl<N, K> CrpService<N, K>
 where
-    N: Ord + Clone + std::fmt::Debug,
-    K: Ord + Clone + std::fmt::Debug,
+    N: Ord + Clone,
+    K: Ord + Clone,
 {
     /// Creates a service with the given window policy and metric. The
     /// paper's recommended operating point is a 10-probe window with

@@ -44,7 +44,7 @@ impl SimilarityMetric {
     /// assert_eq!(jac, 1.0); // same replica sets
     /// # Ok::<(), crp_core::RatioMapError>(())
     /// ```
-    pub fn compare<K: Ord + Clone + fmt::Debug>(self, a: &RatioMap<K>, b: &RatioMap<K>) -> f64 {
+    pub fn compare<K: Ord + Clone>(self, a: &RatioMap<K>, b: &RatioMap<K>) -> f64 {
         crp_telemetry::counter_add("core.similarity.calls", 1);
         crp_telemetry::trace::query_stage("core.similarity");
         let score = match self {
@@ -52,7 +52,6 @@ impl SimilarityMetric {
             SimilarityMetric::Jaccard => jaccard(a, b),
             SimilarityMetric::WeightedOverlap => weighted_overlap(a, b),
         };
-        crate::explain::record_similarity(self, a, b, score);
         crate::debug_invariant!(
             crate::invariant::check_unit_interval(score),
             "SimilarityMetric::{self:?}::compare"

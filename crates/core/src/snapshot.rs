@@ -38,7 +38,7 @@ pub struct ServiceSnapshot<N: Ord, K> {
     nodes: Vec<(N, Vec<Observation<K>>)>,
 }
 
-impl<N: Ord + Clone + std::fmt::Debug, K: Ord + Clone + std::fmt::Debug> ServiceSnapshot<N, K> {
+impl<N: Ord + Clone, K: Ord + Clone> ServiceSnapshot<N, K> {
     /// Captures the full state of a service.
     pub fn capture(service: &CrpService<N, K>) -> Self {
         ServiceSnapshot {
@@ -81,7 +81,7 @@ impl<N: Ord + Clone + std::fmt::Debug, K: Ord + Clone + std::fmt::Debug> Service
 }
 
 /// Accessors used by the snapshot machinery.
-impl<N: Ord + Clone + std::fmt::Debug, K: Ord + Clone + std::fmt::Debug> CrpService<N, K> {
+impl<N: Ord + Clone, K: Ord + Clone> CrpService<N, K> {
     /// Iterates over `(node, tracker)` pairs — read-only access to the
     /// raw observation state, primarily for snapshotting.
     pub fn iter_trackers(&self) -> impl Iterator<Item = (&N, &RedirectionTracker<K>)> {

@@ -36,15 +36,11 @@
 )]
 
 pub mod cache;
-pub mod king;
 pub mod name;
 pub mod record;
 pub mod resolver;
-pub mod zones;
 
 pub use cache::TtlCache;
-pub use king::DnsKing;
 pub use name::{DomainName, ParseNameError};
 pub use record::{DnsResponse, RecordData, ResourceRecord, SimIp};
 pub use resolver::{AuthoritativeServer, RecursiveResolver, ResolveError};
-pub use zones::{IterativeOutcome, ZoneRegistry};

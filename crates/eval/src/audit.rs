@@ -9,7 +9,7 @@
 //! module feeds it. [`run_report`] computes the three run-health verdicts
 //! over the manifests [`crate::telemetry::load`] read back, and rolls the
 //! manifests up — combined summary, per-run time-series drops,
-//! attributed allocation fractions, provenance counts, raised changes —
+//! attributed allocation fractions, inversion counts, raised changes —
 //! next to the caller's wall-clock rows and failures.
 //! The full sections stay in the manifests. The `report` binary and
 //! `run_all` both write the result to `<out>/run_report.json`
@@ -23,7 +23,6 @@ use crate::telemetry::RunManifest;
 use crp::Scenario;
 use crp_audit::detect::DetectionReport;
 use crp_audit::report::{self, HealthVerdict};
-use crp_core::explain::InversionRecord;
 use crp_netsim::HostId;
 use crp_telemetry::{TelemetrySummary, TimeSeriesExport};
 use serde::{Deserialize, Serialize};
@@ -60,6 +59,27 @@ pub fn tail_rank(candidates: usize) -> usize {
     (candidates - candidates / 4).max(2)
 }
 
+/// A Top-1 pick that landed in the tail of the ground-truth RTT
+/// ordering, classified by [`inversion_for`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct InversionRecord {
+    /// Client host, Debug-formatted.
+    pub client: String,
+    /// The candidate CRP selected.
+    pub selected: String,
+    /// Rank of the selection in the RTT ordering (0 = optimal).
+    pub selected_rank: u64,
+    /// The truly closest candidate.
+    pub optimal: String,
+    /// The selection's similarity score.
+    pub top_score: f64,
+    /// Whether the error has a structural explanation.
+    pub explained: bool,
+    /// The explanation (`no_signal`, `weak_signal`, `top5_recovers`);
+    /// empty when unexplained.
+    pub reason: String,
+}
+
 /// Classifies one closest-node outcome, returning an
 /// [`InversionRecord`] when the Top-1 pick landed in the tail of the
 /// ground-truth ranking. An inversion is *explained* when the decision
@@ -91,25 +111,6 @@ pub fn inversion_for(outcome: &ClientOutcome, candidates: usize) -> Option<Inver
     })
 }
 
-/// Records every tail-rank inversion in `outcomes` into the active
-/// explain log and returns `(total, unexplained)`. Call only behind
-/// [`crp_core::explain::enabled`].
-pub fn record_inversions(outcomes: &[ClientOutcome], candidates: usize) -> (u64, u64) {
-    let mut total = 0u64;
-    let mut unexplained = 0u64;
-    for outcome in outcomes {
-        let Some(record) = inversion_for(outcome, candidates) else {
-            continue;
-        };
-        total += 1;
-        if !record.explained {
-            unexplained += 1;
-        }
-        crp_core::explain::record_inversion(record);
-    }
-    (total, unexplained)
-}
-
 /// Pairs each of `hosts` with its region slug: the scopes
 /// [`crp_audit::detect::scan`] localizes changes to, next to its
 /// synthetic `"global"` scope.
@@ -133,21 +134,13 @@ pub struct WallClock {
     pub peak_rss_bytes: Option<u64>,
 }
 
-/// Decision-provenance counts of one run.
+/// Tail-inversion counts of one run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ProvenanceRollup {
-    /// Similarity records kept.
-    pub similarities: u64,
-    /// Ranking records kept.
-    pub rankings: u64,
-    /// SMF assignment records kept.
-    pub assignments: u64,
     /// Tail-rank inversions recorded.
     pub inversions: u64,
     /// Inversions without a structural explanation.
     pub unexplained_inversions: u64,
-    /// Records dropped past the log caps.
-    pub dropped: u64,
 }
 
 /// One run's roll-up; a field is `null` when the run lacks its section.
@@ -161,7 +154,7 @@ pub struct ExperimentRollup {
     pub series_dropped: Option<u64>,
     /// Share of allocations charged to named stages.
     pub attributed_fraction: Option<f64>,
-    /// Decision-provenance counts.
+    /// Tail-inversion counts.
     pub provenance: Option<ProvenanceRollup>,
 }
 
@@ -172,14 +165,9 @@ impl ExperimentRollup {
             late_dropped: m.timeseries.as_ref().map(|t| t.late_dropped),
             series_dropped: m.timeseries.as_ref().map(|t| t.series_dropped),
             attributed_fraction: m.mem.as_ref().map(|s| s.attributed_fraction()),
-            provenance: m.provenance.as_ref().map(|log| ProvenanceRollup {
-                similarities: log.similarities.len() as u64,
-                rankings: log.rankings.len() as u64,
-                assignments: log.assignments.len() as u64,
-                inversions: log.inversions.len() as u64,
-                unexplained_inversions: log.inversions.iter().filter(|i| !i.explained).count()
-                    as u64,
-                dropped: log.dropped(),
+            provenance: m.inversions.as_ref().map(|list| ProvenanceRollup {
+                inversions: list.len() as u64,
+                unexplained_inversions: list.iter().filter(|i| !i.explained).count() as u64,
             }),
         }
     }
@@ -293,7 +281,6 @@ pub fn write_run_report(out_dir: &Path, report: &RunReport) -> Result<PathBuf, S
 mod tests {
     use super::*;
     use crp_audit::detect::{ChangeClass, DetectWindow, DetectedChange, GroupWindow};
-    use crp_core::explain::ExplainLog;
     use crp_telemetry::CounterEntry;
 
     /// A one-window detection report whose global group drifted
@@ -344,10 +331,6 @@ mod tests {
     /// 0.75 of bound 0.75, 1 of 20 inversions (5%) unexplained, no late
     /// points.
     fn healthy_run(experiment: &str) -> RunManifest {
-        let provenance = ExplainLog {
-            inversions: (0..20).map(|i| inversion(i > 0)).collect(),
-            ..ExplainLog::default()
-        };
         RunManifest {
             experiment: experiment.to_owned(),
             summary: Some(TelemetrySummary {
@@ -359,7 +342,7 @@ mod tests {
                 gauges: Vec::new(),
                 histograms: Vec::new(),
             }),
-            provenance: Some(provenance),
+            inversions: Some((0..20).map(|i| inversion(i > 0)).collect()),
             timeseries: Some(TimeSeriesExport {
                 bounds: Vec::new(),
                 tiers: Vec::new(),
@@ -410,8 +393,8 @@ mod tests {
             (
                 "no-unexplained-tail-errors",
                 |run| {
-                    if let Some(log) = &mut run.provenance {
-                        log.inversions[1].explained = false;
+                    if let Some(list) = &mut run.inversions {
+                        list[1].explained = false;
                     }
                 },
                 "2/20 inversions unexplained (10.0%, tolerance 5.0%)",

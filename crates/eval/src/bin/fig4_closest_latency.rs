@@ -30,41 +30,46 @@ fn main() {
 
     let run = run_closest(&cfg);
 
-    // Audit pass: classify tail-rank inversions into the provenance log
-    // and scan the candidates' recorded history for drift, comparing
-    // consecutive snapshots. Both read state the experiment already
-    // produced — nothing upstream changes. The scan starts one interval
-    // in: a map built from the first probes has not settled yet, so a
-    // window from SimTime::ZERO would judge warm-up, not drift.
+    // Audit pass: classify tail-rank inversions and scan the candidates'
+    // recorded history for drift, comparing consecutive snapshots. Both
+    // read state the experiment already produced — nothing upstream
+    // changes. The scan starts one interval in: a map built from the
+    // first probes has not settled yet, so a window from SimTime::ZERO
+    // would judge warm-up, not drift. The interval is a fixed 2 h, well
+    // inside the 5 h of probes a 30-probe map holds, so consecutive
+    // snapshots share probes at any campaign length. A campaign that
+    // ends by the first snapshot leaves nothing to scan.
     if telemetry.observing() {
-        let (total, unexplained) =
-            crp_eval::audit::record_inversions(&run.outcomes, cfg.candidates);
-        let interval = SimDuration::from_hours((cfg.observe_hours / 6).max(1));
-        let mut detect_cfg = DetectConfig::new(
-            SimTime::ZERO + interval,
-            SimTime::from_hours(cfg.observe_hours),
-            interval,
-        );
-        detect_cfg.lag_windows = 1;
-        // Candidate drift only: clustering stays off, churn is
-        // ablation_cluster_stability's job. Its few windows stay under
-        // the detector's warmup, so the record is the drift features
-        // alone, not raised changes.
-        let hosts = crp_eval::audit::region_scopes(&run.scenario, run.scenario.candidates());
-        let report = crp_audit::detect::scan(&run.service, &hosts, &detect_cfg);
-        println!("\n  audit:");
-        output::kv(&[
-            (
-                "tail inversions",
-                format!("{total} ({unexplained} unexplained)"),
-            ),
-            ("drift windows", report.windows.len().to_string()),
-            (
+        let inversions: Vec<_> = run
+            .outcomes
+            .iter()
+            .filter_map(|o| crp_eval::audit::inversion_for(o, cfg.candidates))
+            .collect();
+        let unexplained = inversions.iter().filter(|i| !i.explained).count();
+        let mut rows = vec![(
+            "tail inversions",
+            format!("{} ({unexplained} unexplained)", inversions.len()),
+        )];
+        telemetry.set_inversions(inversions);
+        let interval = SimDuration::from_hours(2);
+        let start = SimTime::ZERO + interval;
+        let end = SimTime::from_hours(cfg.observe_hours);
+        if end > start {
+            let mut detect_cfg = DetectConfig::new(start, end, interval);
+            detect_cfg.lag_windows = 1;
+            // Candidate drift only: clustering stays off, churn is
+            // ablation_cluster_stability's job.
+            let hosts = crp_eval::audit::region_scopes(&run.scenario, run.scenario.candidates());
+            let report = crp_audit::detect::scan(&run.service, &hosts, &detect_cfg);
+            rows.push(("drift windows", report.windows.len().to_string()));
+            rows.push((
                 "max drifted fraction",
                 format!("{:.3}", report.max_drifted_fraction()),
-            ),
-        ]);
-        telemetry.set_detect(report);
+            ));
+            telemetry.set_detect(report);
+        }
+        println!("\n  audit:");
+        output::kv(&rows);
     }
 
     let meridian: Vec<f64> = run.outcomes.iter().map(|o| o.meridian_ms).collect();

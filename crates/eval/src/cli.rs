@@ -21,10 +21,10 @@ pub struct EvalArgs {
     /// Output directory for CSV series (default `results`).
     pub out_dir: String,
     /// Observe directory: arms every SimTime-side observer (metrics,
-    /// decision provenance and change-detection scans, time series,
-    /// causal traces, allocation attribution) and writes one file,
-    /// `<dir>/<experiment>_manifest.json` (see [`crate::telemetry`]).
-    /// `None` leaves them all disarmed.
+    /// time series, causal traces, allocation attribution), runs the
+    /// auditing passes (tail inversions, change-detection scans) and
+    /// writes one file, `<dir>/<experiment>_manifest.json` (see
+    /// [`crate::telemetry`]). `None` leaves them all disarmed.
     pub observe: Option<String>,
     /// Wall-clock profile output directory; `None` leaves profiling
     /// disabled. Kept apart from `observe` so the profile never times

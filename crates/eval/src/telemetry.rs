@@ -7,13 +7,14 @@
 //! in that directory: `<experiment>_manifest.json`, one [`RunManifest`]
 //! written when the returned [`TelemetrySession`] drops at the end of
 //! `main`. Each layer is one optional section of it: `summary` (the
-//! aggregated [`TelemetrySummary`]), `provenance` (the
-//! [`crp_core::explain`] decision log), `timeseries` and `traces` (the
+//! aggregated [`TelemetrySummary`]), `timeseries` and `traces` (the
 //! SimTime [time-series store](crp_telemetry::timeseries) and the
-//! sampled [causal traces](crp_telemetry::trace)), `mem` (the per-stage
-//! [allocation attribution](crp_telemetry::mem) snapshot), and `detect`,
-//! the change-detection report — the run's one drift record — that an
-//! auditing binary hands over with [`TelemetrySession::set_detect`].
+//! sampled [causal traces](crp_telemetry::trace)) and `mem` (the
+//! per-stage [allocation attribution](crp_telemetry::mem) snapshot).
+//! Two more are what an auditing binary hands over: `inversions`, its
+//! classified tail-rank inversions ([`TelemetrySession::set_inversions`]),
+//! and `detect`, the change-detection report — the run's one drift
+//! record ([`TelemetrySession::set_detect`]).
 //!
 //! [`load`] reads a directory's manifests back, and [`dashboard`]
 //! renders one run's live sections; the `report` binary
@@ -31,9 +32,9 @@
 //! Without either flag nothing is armed and every instrumentation hook
 //! across the workspace stays on its one-branch disabled path.
 
+use crate::audit::InversionRecord;
 use crate::EvalArgs;
 use crp_audit::detect::DetectionReport;
-use crp_core::explain::ExplainLog;
 use crp_telemetry::timeseries::{self, TimeSeriesExport};
 use crp_telemetry::trace::{self, TraceLog};
 use crp_telemetry::{MemSnapshot, TelemetrySummary};
@@ -51,6 +52,7 @@ pub struct TelemetrySession {
     observe_dir: Option<PathBuf>,
     profile_dir: Option<PathBuf>,
     experiment: &'static str,
+    inversions: Option<Vec<InversionRecord>>,
     detect: Option<DetectionReport>,
 }
 
@@ -59,6 +61,11 @@ impl TelemetrySession {
     /// only then.
     pub fn observing(&self) -> bool {
         self.observe_dir.is_some()
+    }
+
+    /// Hands the run's classified tail-rank inversions to the manifest.
+    pub fn set_inversions(&mut self, inversions: Vec<InversionRecord>) {
+        self.inversions = Some(inversions);
     }
 
     /// Hands the run's change-detection report to the manifest.
@@ -76,7 +83,6 @@ pub fn session(args: &EvalArgs, experiment: &'static str) -> TelemetrySession {
         // A failure surfaces when the manifest is written.
         let _ = fs::create_dir_all(dir);
         crp_telemetry::install();
-        crp_core::explain::start();
         timeseries::start(timeseries::TimeSeriesConfig::default());
         trace::start(trace::TraceConfig::default());
         crp_telemetry::mem::start();
@@ -89,6 +95,7 @@ pub fn session(args: &EvalArgs, experiment: &'static str) -> TelemetrySession {
         observe_dir,
         profile_dir,
         experiment,
+        inversions: None,
         detect: None,
     }
 }
@@ -101,9 +108,8 @@ pub struct RunManifest {
     pub experiment: String,
     /// Counters, gauges and histograms aggregated over the run.
     pub summary: Option<TelemetrySummary>,
-    /// Decision provenance: similarities, rankings, assignments and
-    /// classified rank inversions.
-    pub provenance: Option<ExplainLog>,
+    /// Classified tail-rank inversions.
+    pub inversions: Option<Vec<InversionRecord>>,
     /// The SimTime time-series store.
     pub timeseries: Option<TimeSeriesExport>,
     /// Sampled causal traces.
@@ -141,7 +147,6 @@ impl Drop for TelemetrySession {
         // not the other layers' flush traffic.
         let mem = crp_telemetry::mem::finish();
         let summary = crp_telemetry::shutdown(self.experiment);
-        let provenance = crp_core::explain::finish();
         let store = timeseries::finish();
         let traces = trace::finish();
         if let (Some(dir), Some(tree)) = (&self.profile_dir, crp_telemetry::profile::finish()) {
@@ -156,7 +161,7 @@ impl Drop for TelemetrySession {
         let manifest = RunManifest {
             experiment: self.experiment.to_owned(),
             summary,
-            provenance,
+            inversions: self.inversions.take(),
             timeseries: store.as_ref().map(|store| store.export()),
             traces,
             mem,
@@ -356,8 +361,7 @@ mod tests {
             ..EvalArgs::default()
         };
         let mut s = session(&args, "t_obs");
-        let layers =
-            stage::METRICS | stage::EXPLAIN | stage::TIMESERIES | stage::TRACE | stage::MEM;
+        let layers = stage::METRICS | stage::TIMESERIES | stage::TRACE | stage::MEM;
         assert_eq!(stage::mask(), layers, "--observe arms all but the profiler");
         assert!(s.observing());
         crp_telemetry::counter_add("test.calls", 3);
@@ -365,15 +369,15 @@ mod tests {
             crp_telemetry::stage!(AUDIT_DETECT_SCAN);
             let _buf: Vec<u8> = Vec::with_capacity(64);
         }
-        crp_core::explain::record_inversion(crp_core::explain::InversionRecord {
+        s.set_inversions(vec![InversionRecord {
             client: "c0".to_owned(),
             selected: "r1".to_owned(),
             selected_rank: 3,
             optimal: "r0".to_owned(),
             top_score: 0.4,
             explained: true,
-            reason: "weak signal".to_owned(),
-        });
+            reason: "weak_signal".to_owned(),
+        }]);
         trace::begin(trace::mint(&[7]), 0, stage::CDN_AUTHORITATIVE_ANSWER.name);
         crp_telemetry::observe_at(0, "cdn.best_candidate_ms", 12.5);
         let report = r#"{"interval_ms":1,"snapshots":0,"windows":[],"changes":[],
@@ -395,9 +399,9 @@ mod tests {
         assert_eq!(summary.experiment, "t_obs");
         assert_eq!(summary.counter("test.calls"), Some(3));
         assert_eq!(summary.counter(stage::AUDIT_DETECT_SCAN.calls), Some(1));
-        let log = m.provenance.as_ref().expect("provenance section");
-        assert_eq!(log.inversions.len(), 1);
-        assert_eq!(log.inversions[0].client, "c0");
+        let inversions = m.inversions.as_ref().expect("inversions section");
+        assert_eq!(inversions.len(), 1);
+        assert_eq!(inversions[0].client, "c0");
         assert!(m.timeseries.is_some() && m.traces.is_some());
         // This crate installs the counting allocator, so the snapshot
         // carries real counts.
@@ -449,7 +453,7 @@ mod tests {
         fs::create_dir_all(&dir).expect("mkdir");
         let manifest = |experiment: &str| {
             format!(
-                r#"{{"experiment":"{experiment}","summary":null,"provenance":null,
+                r#"{{"experiment":"{experiment}","summary":null,"inversions":null,
                 "timeseries":null,"traces":null,"mem":null,"detect":null}}"#
             )
         };

@@ -56,7 +56,6 @@ fn every_stage_reports_under_its_one_name() {
     mem::start();
     timeseries::start(timeseries::TimeSeriesConfig::default());
     trace::start(trace::TraceConfig::default());
-    crp_core::explain::start();
 
     let closest = run_closest(&ClosestConfig {
         inject_faults: false,
@@ -76,7 +75,6 @@ fn every_stage_reports_under_its_one_name() {
     let snapshot = mem::finish().expect("attribution armed");
     let series = timeseries::finish().expect("store started").export();
     let traces = trace::finish().expect("tracing started");
-    let _ = crp_core::explain::finish();
     assert_eq!(stage::mask(), 0);
 
     let mut nodes = Vec::new();

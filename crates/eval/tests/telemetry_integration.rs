@@ -4,7 +4,9 @@
 //! the time series on separate paths, so the summary's count must equal
 //! the series' whole-run sum (which also counts late points). The
 //! `report` binary must then judge the directory with its three
-//! verdicts, and reject a manifest it cannot judge.
+//! verdicts, and reject a manifest it cannot judge. A fig4 campaign too
+//! short for a drift window must still finish and hand its tail
+//! inversions to its manifest.
 
 use crp_eval::audit::RunReport;
 use crp_eval::telemetry::RunManifest;
@@ -107,7 +109,7 @@ fn report_rejects_a_manifest_without_summary() {
     let dir = std::env::temp_dir().join(format!("crp-report-it-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let manifest = r#"{"experiment":"exp","summary":null,"provenance":null,"timeseries":null,
+    let manifest = r#"{"experiment":"exp","summary":null,"inversions":null,"timeseries":null,
         "traces":null,"mem":null,"detect":null}"#;
     #[expect(
         clippy::disallowed_methods,
@@ -126,5 +128,30 @@ fn report_rejects_a_manifest_without_summary() {
         "a manifest without summary is malformed"
     );
     assert!(!dir.join("out").exists(), "no report for a malformed run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fig4_one_hour_observe_keeps_its_inversions_without_a_drift_window() {
+    let dir = std::env::temp_dir().join(format!("crp-fig4-short-it-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let status = Command::new(env!("CARGO_BIN_EXE_fig4_closest_latency"))
+        .args(["--seed", "5", "--hours", "1", "--scale", "0.25"])
+        .args(["--clients", "8", "--candidates", "6"])
+        .arg("--out")
+        .arg(dir.join("results"))
+        .arg("--observe")
+        .arg(&dir)
+        .status()
+        .expect("run fig4_closest_latency");
+    assert_eq!(status.code(), Some(0), "fig4_closest_latency failed");
+    let raw = std::fs::read_to_string(dir.join("fig4_closest_latency_manifest.json"))
+        .expect("run manifest written");
+    let manifest: RunManifest = serde_json::from_str(&raw).expect("manifest deserializes");
+    assert!(manifest.inversions.is_some(), "no inversions section");
+    assert!(
+        manifest.detect.is_none(),
+        "a 1 h campaign has no drift window"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,8 +15,8 @@
 //! memory domain and bumps `<name>.calls` for the rest of the block.
 //! With none armed, that load and one branch are the whole cost. The
 //! guard lives in [`profile`](crate::profile), the one module allowed
-//! to read the wall clock. Value-carrying hooks (trace stages, explain
-//! payloads, histograms) stay explicit at their sites.
+//! to read the wall clock. Value-carrying hooks (trace stages,
+//! histograms) stay explicit at their sites.
 //!
 //! ```
 //! use crp_telemetry::{profile, stage};
@@ -41,8 +41,6 @@ pub const MEM: u32 = 1 << 2;
 pub const TIMESERIES: u32 = 1 << 3;
 /// Causal tracing.
 pub const TRACE: u32 = 1 << 4;
-/// Decision provenance (`crp_core::explain`).
-pub const EXPLAIN: u32 = 1 << 5;
 /// The layers a [`stage!`](crate::stage!) guard feeds.
 pub(crate) const GUARDED: u32 = PROFILE | MEM | METRICS | TIMESERIES;
 

@@ -432,9 +432,9 @@ pub fn query_stage(name: &'static str) {
 mod tests {
     use super::*;
 
-    // The trace store is process-global; like the collector and explain
-    // tests, one test function exercises the full lifecycle to avoid
-    // cross-test interference.
+    // The trace store is process-global; like the collector tests, one
+    // test function exercises the full lifecycle to avoid cross-test
+    // interference.
     #[test]
     fn trace_lifecycle_sampling_and_query_fanout() {
         // Phase 1: disabled — everything is a no-op and current stays 0.

@@ -8,7 +8,7 @@
 use std::hint::black_box;
 
 use crp_cdn::{Cdn, DeploymentSpec, MappingConfig};
-use crp_core::{explain, Ranking, RatioMap, RedirectionTracker, SimilarityMetric};
+use crp_core::{Ranking, RatioMap, RedirectionTracker, SimilarityMetric};
 use crp_dns::AuthoritativeServer;
 use crp_netsim::{NetworkBuilder, PopulationSpec, SimTime};
 use crp_telemetry::profile::{allocation_count, CountingAllocator};
@@ -71,25 +71,6 @@ fn hot_paths_allocate_only_what_they_return() {
     assert_eq!(allocs(|| ranking.top().copied()), 0, "Ranking::top");
     assert_eq!(allocs(|| ranking.score_of(&17)), 0, "Ranking::score_of");
     assert_eq!(allocs(|| ranking.top_k(5)), 1, "Ranking::top_k");
-
-    // Disarmed explain hooks return before building a record.
-    assert!(!explain::enabled());
-    let entries = ranking.entries();
-    assert_eq!(
-        allocs(|| explain::record_similarity(SimilarityMetric::Cosine, a, b, 0.5)),
-        0,
-        "record_similarity"
-    );
-    assert_eq!(
-        allocs(|| explain::record_ranking(entries)),
-        0,
-        "record_ranking"
-    );
-    assert_eq!(
-        allocs(|| explain::record_assignment(&1u32, Some(&2u32), 0.5, 0.1, true)),
-        0,
-        "record_assignment"
-    );
 
     // A full 30-slot tracker recycles the evicted observation's buffer.
     let mut tracker = RedirectionTracker::with_capacity(30);

@@ -7,11 +7,11 @@
 use crp::{Scenario, ScenarioConfig};
 use crp_core::{SimilarityMetric, WindowPolicy};
 use crp_netsim::{SimDuration, SimTime};
-use crp_telemetry::stage::{self, EXPLAIN, MEM, METRICS, PROFILE, TIMESERIES, TRACE};
+use crp_telemetry::stage::{self, MEM, METRICS, PROFILE, TIMESERIES, TRACE};
 use crp_telemetry::{mem, profile, timeseries, trace};
 use std::fmt::Write as _;
 
-const LAYERS: [u32; 6] = [METRICS, PROFILE, MEM, TIMESERIES, TRACE, EXPLAIN];
+const LAYERS: [u32; 5] = [METRICS, PROFILE, MEM, TIMESERIES, TRACE];
 
 /// Runs a small fixed-seed campaign and renders everything downstream
 /// code consumes — per-host ratio maps and the per-client Top-3
@@ -120,9 +120,6 @@ fn observed_run(layers: u32, baseline: &str) -> Vec<(u32, String)> {
     if layers & TRACE != 0 {
         trace::start(trace::TraceConfig::default());
     }
-    if layers & EXPLAIN != 0 {
-        crp_core::explain::start();
-    }
     if layers & METRICS != 0 {
         crp_telemetry::install();
     }
@@ -180,14 +177,6 @@ fn finish(layers: u32) -> Vec<(u32, String)> {
     if let Some(traces) = trace::finish() {
         assert!(traces.minted > 0, "no traces minted: {traces:?}");
         out.push((TRACE, json!(traces)));
-    }
-    if let Some(log) = crp_core::explain::finish() {
-        assert!(
-            !log.similarities.is_empty() && !log.rankings.is_empty(),
-            "explain hooks did not fire: {} records",
-            log.len()
-        );
-        out.push((EXPLAIN, json!(log)));
     }
     let fired = out.iter().fold(0, |acc, (layer, _)| acc | layer);
     assert_eq!(fired, layers, "exactly the armed layers leave artifacts");
