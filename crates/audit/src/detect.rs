@@ -601,9 +601,10 @@ pub fn rand_index<N: Ord + Clone>(a: &Clustering<N>, b: &Clustering<N>, nodes: &
 /// `hosts` pairs each host with its scope label (typically the region
 /// slug); per-window statistics are computed for every scope plus a
 /// synthetic `"global"` scope over all hosts. The scan is read-only and
-/// SimTime-keyed, and writes nothing to the time series: per-change
-/// `detect.change` events and the `audit.detect.*` counters are emitted
-/// when telemetry is collecting.
+/// SimTime-keyed, and writes nothing to the time series. Its changes
+/// are returned in the report; while metrics are collecting it also
+/// bumps `audit.detect.windows` once per window and
+/// `audit.detect.changes` once per change raised.
 ///
 /// # Panics
 ///

@@ -1,11 +1,11 @@
-//! Fixtures and the measurement harness for the CRP benchmarks.
+//! The timing guard for the kernels no paper-scale workload measures.
 //!
-//! The benches measure the cost of every moving part of the
-//! reproduction: similarity math, tracker updates, SMF clustering, the
-//! CDN mapping hot path, Meridian queries, and the per-figure experiment
-//! kernels at reduced scale. The `bench_all`/`bench_check` binaries
-//! time them over the fixtures here with [`harness`]: fixed-plan runs
-//! with machine-readable reports and regression gating.
+//! `bench_all` times three rows with [`harness`]: cosine similarity,
+//! all similarity metrics, and one Meridian closest-node query — the
+//! probing cost CRP avoids. `bench_check` gates their medians against
+//! the newest committed `BENCH_pr<N>.json`. Every other layer is timed
+//! at paper scale by `e2e_bench`'s per-layer metrics, and allocation
+//! counts are pinned exactly by `tests/hot_path_allocs.rs`.
 
 #![warn(
     clippy::unwrap_used,
@@ -16,10 +16,8 @@
 
 pub mod harness;
 
-use crp::{Scenario, ScenarioConfig};
-use crp_cdn::ReplicaId;
-use crp_core::{CrpService, RatioMap, SimilarityMetric, WindowPolicy};
-use crp_netsim::{noise, HostId, SimDuration, SimTime};
+use crp_core::RatioMap;
+use crp_netsim::noise;
 use std::collections::HashSet;
 
 /// A deterministic ratio map with exactly `entries` distinct replicas
@@ -57,37 +55,6 @@ pub fn synthetic_map(seed: u64, entries: usize, universe: u64) -> RatioMap<u32> 
     RatioMap::from_weights(weights).expect("positive weights")
 }
 
-/// A batch of synthetic ratio maps for clustering/selection benches.
-pub fn synthetic_maps(count: usize, entries: usize, universe: u64) -> Vec<(usize, RatioMap<u32>)> {
-    (0..count)
-        .map(|i| (i, synthetic_map(i as u64, entries, universe)))
-        .collect()
-}
-
-/// A small but fully real world: scenario + 6 hours of observations.
-pub fn observed_scenario(
-    seed: u64,
-    candidates: usize,
-    clients: usize,
-) -> (Scenario, CrpService<HostId, ReplicaId>, SimTime) {
-    let scenario = Scenario::build(ScenarioConfig {
-        seed,
-        candidate_servers: candidates,
-        clients,
-        cdn_scale: 0.4,
-        ..ScenarioConfig::default()
-    });
-    let end = SimTime::from_hours(6);
-    let service = scenario.observe_all(
-        SimTime::ZERO,
-        end,
-        SimDuration::from_mins(10),
-        WindowPolicy::LastProbes(30),
-        SimilarityMetric::Cosine,
-    );
-    (scenario, service, end)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,12 +83,5 @@ mod tests {
     #[should_panic(expected = "must admit")]
     fn synthetic_map_rejects_unsatisfiable_universe() {
         let _ = synthetic_map(0, 10, 9);
-    }
-
-    #[test]
-    fn observed_scenario_is_usable() {
-        let (scenario, service, _end) = observed_scenario(1, 4, 2);
-        assert_eq!(scenario.candidates().len(), 4);
-        assert!(service.node_count() > 0);
     }
 }

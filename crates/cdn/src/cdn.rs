@@ -247,18 +247,18 @@ impl Cdn {
     /// # Panics
     ///
     /// Panics if the replica id is unknown or already active.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "the replica index is asserted in range first; control-plane path"
-    )]
     pub fn activate_replica(&mut self, replica: ReplicaId, at: SimTime) {
         assert!(replica.index() < self.replicas.len(), "unknown replica");
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the replica index is asserted in range first; control-plane path"
+        )]
+        let active_from = &mut self.active_from[replica.index()];
         assert_eq!(
-            self.active_from[replica.index()],
-            FOREVER,
+            *active_from, FOREVER,
             "replica {replica:?} is already active"
         );
-        self.active_from[replica.index()] = at;
+        *active_from = at;
     }
 
     /// Retires a replica permanently from `at` on — a pool flip's
@@ -418,12 +418,13 @@ impl Cdn {
 
     /// Whether `replica` is serving at time `t`: activated (dormant
     /// reserves are not), and not inside a scheduled outage.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "ReplicaIds are only minted by this Cdn, so they are always in range"
-    )]
     pub fn replica_is_up(&self, replica: ReplicaId, t: SimTime) -> bool {
-        t >= self.active_from[replica.index()]
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "ReplicaIds are only minted by this Cdn, so they are always in range"
+        )]
+        let active_from = self.active_from[replica.index()];
+        t >= active_from
             && !self
                 .outages
                 .iter()

@@ -22,12 +22,11 @@
     reason = "the experiment harness writes the result files"
 )]
 
-/// Every binary linking this crate (the experiment bins, `run_all`, and
-/// `crp-bench`'s `bench_all`) gets the counting global allocator, so
-/// `--observe` attribution and per-iteration allocation pressure
-/// report real numbers. Disarmed cost is two relaxed counter bumps per
-/// allocation; the armed tax only applies while `--observe` is in
-/// effect.
+/// Every binary linking this crate (the experiment bins and `run_all`)
+/// gets the counting global allocator, so `--observe` attribution and
+/// the `--profile` tree's allocation columns report real numbers.
+/// Disarmed cost is two relaxed counter bumps per allocation; the armed
+/// tax only applies while `--observe` is in effect.
 #[global_allocator]
 static ALLOC: crp_telemetry::profile::CountingAllocator = crp_telemetry::profile::CountingAllocator;
 

@@ -177,15 +177,16 @@ impl Region {
     }
 
     /// Stable small integer used to derive noise streams.
-    #[expect(
-        clippy::expect_used,
-        reason = "every Region variant appears in Region::ALL"
-    )]
     pub fn index(self) -> u64 {
-        Region::ALL
+        #[expect(
+            clippy::expect_used,
+            reason = "every Region variant appears in Region::ALL"
+        )]
+        let position = Region::ALL
             .iter()
             .position(|r| *r == self)
-            .expect("region in ALL") as u64
+            .expect("region in ALL");
+        position as u64
     }
 }
 

@@ -7,10 +7,10 @@
 //! domain**: while `stage!(CORE_TRACKER)` is the innermost open stage,
 //! every allocation, deallocation, and reallocation the thread performs
 //! is charged to `core.tracker` — live bytes, peak live bytes, total
-//! bytes, operation counts, and a power-of-two size-class histogram. A
-//! committed `MEM_BASELINE.json` plus `bench_check`'s memory gate and
-//! attribution table turn the attribution into a ratcheted budget
-//! gate, next to its timing gate.
+//! bytes, operation counts, and a power-of-two size-class histogram.
+//! `--observe` runs write the snapshot into the manifest's `mem`
+//! section, and `tests/hot_path_allocs.rs` pins each stage's
+//! allocation count exactly over one small world.
 //!
 //! Boundary rules (the same contract as the profiler):
 //!
@@ -301,8 +301,8 @@ pub fn enabled() -> bool {
     stage::armed(stage::MEM)
 }
 
-/// Zeroes every domain's counters without changing the armed state —
-/// the per-benchmark reset `bench_all` uses between rows.
+/// Zeroes every domain's counters without changing the armed state,
+/// so one armed session can count several workloads apart.
 pub fn reset() {
     for s in &STATS {
         s.reset();

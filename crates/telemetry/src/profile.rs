@@ -505,10 +505,10 @@ pub fn allocation_count() -> u64 {
 // Shared monotonic clock + peak RSS
 // ---------------------------------------------------------------------
 
-/// A monotonic wall-clock stopwatch — the single clock source the
-/// harness binaries (`run_all`, `bench_all`) share with the profiler,
-/// so the coarse per-experiment durations and the per-scope profile
-/// tree are measured on the same basis.
+/// A monotonic wall-clock stopwatch — the single clock source
+/// `run_all` shares with the profiler, so the coarse per-experiment
+/// durations and the per-scope profile tree are measured on the same
+/// basis.
 #[derive(Clone, Copy, Debug)]
 pub struct Stopwatch {
     started: Instant,
