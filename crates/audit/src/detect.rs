@@ -24,7 +24,6 @@
 use crp_core::cluster::{Clustering, SmfConfig};
 use crp_core::{CrpService, RatioMap};
 use crp_netsim::{SimDuration, SimTime};
-use crp_telemetry::MemFootprint;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
@@ -166,9 +165,6 @@ pub struct DetectionReport {
     pub windows: Vec<DetectWindow>,
     /// Every change raised, in time order.
     pub changes: Vec<DetectedChange>,
-    /// Memory footprint of each snapshot's clustering in bytes, in
-    /// snapshot order; empty when clustering is off.
-    pub clustering_bytes: Vec<u64>,
 }
 
 impl DetectionReport {
@@ -735,11 +731,6 @@ where
         snapshots: snapshots.len() as u64,
         windows,
         changes,
-        clustering_bytes: snapshots
-            .iter()
-            .filter_map(|s| s.clustering.as_ref())
-            .map(|c| c.mem_footprint() as u64)
-            .collect(),
     }
 }
 
@@ -972,9 +963,8 @@ mod tests {
         assert_eq!(global[1].drifted_hosts, 3);
         assert_eq!(global[1].strongest_changed, 3);
         assert_eq!(report.max_drifted_fraction(), 1.0);
-        // Clustering is off by default: no churn, no footprints.
+        // Clustering is off by default: no churn.
         assert!(report.windows.iter().all(|w| w.cluster_distance < 0.0));
-        assert!(report.clustering_bytes.is_empty());
     }
 
     #[test]
@@ -985,7 +975,6 @@ mod tests {
         c.smf = Some(SmfConfig::paper(0.1));
         let report = scan(&svc, &hosts, &c);
         assert_eq!(report.windows.len(), 3);
-        assert_eq!(report.clustering_bytes.len(), 4, "one per snapshot");
         for w in &report.windows {
             for g in &w.groups {
                 assert_eq!(g.mean_l1, 0.0, "{g:?}");

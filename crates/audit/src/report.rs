@@ -181,7 +181,6 @@ mod tests {
                     replicas: Vec::new(),
                 })
                 .collect(),
-            clustering_bytes: Vec::new(),
         }
     }
 

@@ -12,10 +12,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 /// Reusable per-thread buffers for the answer path. The authoritative
-/// answer is the CDN's per-query hot path (`cdn/authoritative_answer_warm`
-/// tracks it); routing every intermediate list through these buffers
-/// keeps the warm path down to the single allocation the returned
-/// `DnsResponse` must own.
+/// answer is the CDN's per-query hot path: the warm-answer pin in
+/// `tests/hot_path_allocs.rs` counts its allocations, and e2e_bench's
+/// `cdn.answer.ns_per_call` times it. Routing every intermediate list
+/// through these buffers keeps the warm path down to the single
+/// allocation the returned `DnsResponse` must own.
 #[derive(Default)]
 struct AnswerScratch {
     shortlist: Vec<ReplicaId>,
@@ -37,12 +38,6 @@ const TAG_FALLBACK: u64 = 0x33;
 const TAG_SUBSET: u64 = 0x34;
 const TAG_SCATTER: u64 = 0x35;
 
-/// Default bound on the `(resolver, customer)` remap-observer table.
-/// Far above any simulated population (1,000 clients × 2 customers);
-/// the cap exists so adversarial or runaway query mixes cannot grow
-/// observer state without bound.
-pub const DEFAULT_REMAP_OBSERVER_CAPACITY: usize = 1 << 16;
-
 /// An outage end meaning "never recovers" — used by event scripts to
 /// retire a replica permanently.
 pub(crate) const FOREVER: SimTime = SimTime::from_millis(u64::MAX);
@@ -56,13 +51,6 @@ pub struct CdnStats {
     pub fallback_answers: u64,
     /// Queries from poorly-covered resolvers (scattered answers).
     pub scattered_answers: u64,
-    /// Detected remapping events: a `(resolver, customer)` pair whose
-    /// best-measured replica changed across mapping epochs.
-    pub remap_events: u64,
-    /// `(resolver, customer)` pairs the remap observer refused to track
-    /// because its table was at capacity. Nonzero means
-    /// [`CdnStats::remap_events`] undercounts ground truth.
-    pub remap_observer_dropped: u64,
 }
 
 /// The simulated CDN.
@@ -80,10 +68,6 @@ pub struct Cdn {
     by_domain: HashMap<DomainName, usize>,
     edge_zone: DomainName,
     shortlists: RwLock<HashMap<(HostId, u32), Vec<ReplicaId>>>,
-    // Last (epoch, best replica) seen per (resolver, customer) — pure
-    // observer state for remap-event detection; answers never read it.
-    epoch_best: RwLock<HashMap<(HostId, u32), (u64, ReplicaId)>>,
-    remap_observer_capacity: usize,
     outages: Vec<(ReplicaId, SimTime, SimTime)>,
     // Per-replica activation time: `SimTime::ZERO` for the deployed
     // fleet, `FOREVER` for dormant reserves until an event script
@@ -98,8 +82,6 @@ pub struct Cdn {
     // the replica as slower and routes around it.
     measure_penalties: Vec<(ReplicaId, SimTime, SimTime, f64)>,
     queries_answered: AtomicU64,
-    remap_events: AtomicU64,
-    remap_observer_dropped: AtomicU64,
     fallback_answers: AtomicU64,
     scattered_answers: AtomicU64,
     per_replica_answers: Vec<AtomicU64>,
@@ -166,16 +148,12 @@ impl Cdn {
             #[expect(clippy::expect_used, reason = "the static zone name is a valid domain")]
             edge_zone: "g.akamai-sim.net".parse().expect("static name is valid"),
             shortlists: RwLock::new(HashMap::new()),
-            epoch_best: RwLock::new(HashMap::new()),
-            remap_observer_capacity: DEFAULT_REMAP_OBSERVER_CAPACITY,
             outages: Vec::new(),
             active_from,
             reserves: Region::ALL.iter().map(|_| Vec::new()).collect(),
             lb_overrides: Vec::new(),
             measure_penalties: Vec::new(),
             queries_answered: AtomicU64::new(0),
-            remap_events: AtomicU64::new(0),
-            remap_observer_dropped: AtomicU64::new(0),
             fallback_answers: AtomicU64::new(0),
             scattered_answers: AtomicU64::new(0),
             per_replica_answers,
@@ -470,48 +448,7 @@ impl Cdn {
             queries_answered: self.queries_answered.load(Ordering::Relaxed),
             fallback_answers: self.fallback_answers.load(Ordering::Relaxed),
             scattered_answers: self.scattered_answers.load(Ordering::Relaxed),
-            remap_events: self.remap_events.load(Ordering::Relaxed),
-            remap_observer_dropped: self.remap_observer_dropped.load(Ordering::Relaxed),
         }
-    }
-
-    /// `(resolver, customer)` pairs the remap observer currently tracks.
-    pub fn remap_observer_len(&self) -> usize {
-        self.epoch_best
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .len()
-    }
-
-    /// The remap-observer table bound in effect.
-    pub fn remap_observer_capacity(&self) -> usize {
-        self.remap_observer_capacity
-    }
-
-    /// Overrides the remap-observer table bound (default
-    /// [`DEFAULT_REMAP_OBSERVER_CAPACITY`]). Pairs beyond the bound are
-    /// not tracked and count into
-    /// [`CdnStats::remap_observer_dropped`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn set_remap_observer_capacity(&mut self, capacity: usize) {
-        assert!(capacity > 0, "remap observer capacity must be positive");
-        self.remap_observer_capacity = capacity;
-    }
-
-    /// Deep size of the remap-observer table alone — the capacity gauge
-    /// behind `mem.footprint.cdn.remap_observer`.
-    pub fn remap_observer_footprint(&self) -> usize {
-        let epoch_best = self
-            .epoch_best
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        crp_telemetry::mem::hash_map_footprint(
-            epoch_best.len(),
-            std::mem::size_of::<(HostId, u32)>() + std::mem::size_of::<(u64, ReplicaId)>(),
-        )
     }
 
     /// Answers served by each replica, indexed by replica id.
@@ -673,54 +610,6 @@ impl Cdn {
         }
     }
 
-    /// Observes the `(resolver, customer)` pair's best-measured replica
-    /// for remap detection: when the best pick differs from the one
-    /// remembered for an *earlier* mapping epoch, that is a remapping
-    /// event — the mapping system moved the resolver. Emits a
-    /// `cdn.remap` telemetry event and bumps [`CdnStats::remap_events`].
-    ///
-    /// This is observer state only: nothing on the answer path reads
-    /// `epoch_best`, so detection cannot perturb which replicas are
-    /// returned.
-    fn note_epoch_best(
-        &self,
-        resolver: HostId,
-        customer_idx: usize,
-        best: ReplicaId,
-        now: SimTime,
-    ) {
-        let key = (resolver, customer_idx as u32);
-        let epoch = now.as_millis() / self.cfg.mapping_epoch_ms;
-        {
-            let seen = self
-                .epoch_best
-                .read()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            match seen.get(&key) {
-                // Same epoch: the mapping cannot have changed yet.
-                Some((e, _)) if *e == epoch => return,
-                Some((_, b)) if *b != best => {
-                    self.remap_events.fetch_add(1, Ordering::Relaxed);
-                    crp_telemetry::counter_add_at(now.as_millis(), "cdn.remap.events", 1);
-                }
-                _ => {}
-            }
-        }
-        let mut table = self
-            .epoch_best
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        // Bounded table: known pairs always update; new pairs are only
-        // admitted below capacity, so observer memory cannot grow with
-        // an unbounded resolver mix. Refusals are counted — a nonzero
-        // drop count flags the remap ground truth as partial.
-        if table.contains_key(&key) || table.len() < self.remap_observer_capacity {
-            table.insert(key, (epoch, best));
-        } else {
-            self.remap_observer_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     fn answer_records(&self, customer: &Customer, picked: &[ReplicaId]) -> Vec<ResourceRecord> {
         let mut records = Vec::with_capacity(picked.len() + 1);
         records.push(ResourceRecord::new(
@@ -736,36 +625,6 @@ impl Cdn {
             ));
         }
         records
-    }
-}
-
-impl crp_telemetry::MemFootprint for Cdn {
-    /// Deep size of the mapping tables that grow with resolver traffic:
-    /// memoized shortlists and the per-(resolver, customer) remap
-    /// observer state. Fleet and customer state is deployment-fixed and
-    /// excluded — the gauge tracks what *accumulates*.
-    fn mem_footprint(&self) -> usize {
-        let shortlists = self
-            .shortlists
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let lists: usize = shortlists
-            .values()
-            .map(|v| v.capacity() * std::mem::size_of::<ReplicaId>())
-            .sum();
-        let shortlist_table = crp_telemetry::mem::hash_map_footprint(
-            shortlists.len(),
-            std::mem::size_of::<(HostId, u32)>() + std::mem::size_of::<Vec<ReplicaId>>(),
-        );
-        let epoch_best = self
-            .epoch_best
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let remap_table = crp_telemetry::mem::hash_map_footprint(
-            epoch_best.len(),
-            std::mem::size_of::<(HostId, u32)>() + std::mem::size_of::<(u64, ReplicaId)>(),
-        );
-        shortlist_table + lists + remap_table
     }
 }
 
@@ -834,9 +693,8 @@ impl AuthoritativeServer for Cdn {
             let well_covered = ranked
                 .first()
                 .is_some_and(|(ms, _)| *ms <= self.cfg.coverage_radius_ms);
-            if let Some((best_ms, best)) = ranked.first() {
+            if let Some((best_ms, _)) = ranked.first() {
                 crp_telemetry::observe_at(now.as_millis(), "cdn.best_candidate_ms", *best_ms);
-                self.note_epoch_best(resolver, customer_idx, *best, now);
             }
 
             if well_covered {
@@ -1032,44 +890,26 @@ mod tests {
     }
 
     #[test]
-    fn remap_events_are_detected_across_epochs() {
-        let (cdn, clients, name) = build_cdn(8);
-        assert_eq!(cdn.stats().remap_events, 0);
-        // Query every client across many mapping epochs: epoch noise
-        // re-ranks the shortlist, so at least one (resolver, customer)
-        // pair must see its best-measured replica change.
+    fn answers_do_not_depend_on_query_history() {
+        // A CDN warmed by 30 mapping epochs of queries from every client
+        // answers exactly like a fresh one: the only state answers build
+        // up (the shortlist memo) is a pure function of its key.
+        let (warm, clients, name) = build_cdn(8);
         for i in 0..30u64 {
             let t = SimTime::from_mins(i * 2);
             for &client in &clients {
-                let _ = cdn.authoritative_answer(&name, client, t);
+                let _ = warm.authoritative_answer(&name, client, t);
             }
         }
-        let remaps = cdn.stats().remap_events;
-        assert!(remaps > 0, "no remap detected over 30 epochs");
-
-        // Detection is a pure observer: a second identical CDN with the
-        // same query schedule answers identically.
-        let (other, clients_b, name_b) = build_cdn(8);
+        let (fresh, clients_b, name_b) = build_cdn(8);
         for i in 0..30u64 {
             let t = SimTime::from_mins(i * 2);
             for (&a, &b) in clients.iter().zip(&clients_b) {
-                let ra = cdn.authoritative_answer(&name, a, t);
-                let rb = other.authoritative_answer(&name_b, b, t);
+                let ra = warm.authoritative_answer(&name, a, t);
+                let rb = fresh.authoritative_answer(&name_b, b, t);
                 assert_eq!(ra.map(|r| r.a_addresses()), rb.map(|r| r.a_addresses()));
             }
         }
-    }
-
-    #[test]
-    fn same_epoch_queries_cannot_remap() {
-        let (cdn, clients, name) = build_cdn(9);
-        // All queries inside one mapping epoch: measured ranking is
-        // fixed, so no remap can be detected.
-        for i in 0..10u64 {
-            let t = SimTime::from_millis(i * 100);
-            let _ = cdn.authoritative_answer(&name, clients[0], t);
-        }
-        assert_eq!(cdn.stats().remap_events, 0);
     }
 
     #[test]
@@ -1281,26 +1121,6 @@ mod tests {
             .flat_map(|r| r.a_addresses())
             .collect();
         assert!(after.contains(&victim.ip()), "replica never recovered");
-    }
-
-    #[test]
-    fn remap_observer_capacity_bounds_table() {
-        let (mut cdn, clients, name) = build_cdn(34);
-        cdn.set_remap_observer_capacity(2);
-        for i in 0..4u64 {
-            let t = SimTime::from_mins(i * 2);
-            for &client in &clients {
-                let _ = cdn.authoritative_answer(&name, client, t);
-            }
-        }
-        assert_eq!(cdn.remap_observer_len(), 2);
-        assert_eq!(cdn.remap_observer_capacity(), 2);
-        let stats = cdn.stats();
-        assert!(
-            stats.remap_observer_dropped > 0,
-            "pairs beyond capacity must be counted: {stats:?}"
-        );
-        assert!(cdn.remap_observer_footprint() > 0);
     }
 
     #[test]

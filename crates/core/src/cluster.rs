@@ -472,17 +472,6 @@ fn seeded_shuffle<T>(items: &mut [T], seed: u64) {
     }
 }
 
-impl<N> crp_telemetry::MemFootprint for Clustering<N> {
-    fn mem_footprint(&self) -> usize {
-        self.clusters.capacity() * std::mem::size_of::<Cluster<N>>()
-            + self
-                .clusters
-                .iter()
-                .map(|c| c.members.capacity() * std::mem::size_of::<N>())
-                .sum::<usize>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

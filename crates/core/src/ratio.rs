@@ -207,15 +207,6 @@ impl<K: Ord + Clone + fmt::Display> fmt::Display for RatioMap<K> {
     }
 }
 
-impl<K: Ord> crp_telemetry::MemFootprint for RatioMap<K> {
-    fn mem_footprint(&self) -> usize {
-        crp_telemetry::mem::ordered_map_footprint(
-            self.entries.len(),
-            std::mem::size_of::<K>() + std::mem::size_of::<f64>(),
-        )
-    }
-}
-
 /// Error constructing a [`RatioMap`].
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum RatioMapError {

@@ -229,19 +229,6 @@ where
     }
 }
 
-impl<N: Ord, K> crp_telemetry::MemFootprint for CrpService<N, K> {
-    fn mem_footprint(&self) -> usize {
-        crp_telemetry::mem::ordered_map_footprint(
-            self.trackers.len(),
-            std::mem::size_of::<N>() + std::mem::size_of::<RedirectionTracker<K>>(),
-        ) + self
-            .trackers
-            .values()
-            .map(crp_telemetry::MemFootprint::mem_footprint)
-            .sum::<usize>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

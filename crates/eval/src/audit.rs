@@ -311,7 +311,6 @@ mod tests {
                 magnitude: 0.3,
                 replicas: Vec::new(),
             }],
-            clustering_bytes: Vec::new(),
         }
     }
 

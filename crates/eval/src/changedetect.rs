@@ -319,7 +319,6 @@ mod tests {
             snapshots: windows.len() as u64 + 1,
             windows,
             changes,
-            clustering_bytes: Vec::new(),
         }
     }
 

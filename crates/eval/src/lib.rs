@@ -23,10 +23,10 @@
 )]
 
 /// Every binary linking this crate (the experiment bins and `run_all`)
-/// gets the counting global allocator, so `--observe` attribution and
-/// the `--profile` tree's allocation columns report real numbers.
-/// Disarmed cost is two relaxed counter bumps per allocation; the armed
-/// tax only applies while `--observe` is in effect.
+/// gets the counting global allocator, so `--observe` attribution
+/// reports real numbers. Disarmed cost is one relaxed counter bump and
+/// one relaxed load per allocation; the attribution tax only applies
+/// while `--observe` is in effect.
 #[global_allocator]
 static ALLOC: crp_telemetry::profile::CountingAllocator = crp_telemetry::profile::CountingAllocator;
 

@@ -380,8 +380,7 @@ mod tests {
         }]);
         trace::begin(trace::mint(&[7]), 0, stage::CDN_AUTHORITATIVE_ANSWER.name);
         crp_telemetry::observe_at(0, "cdn.best_candidate_ms", 12.5);
-        let report = r#"{"interval_ms":1,"snapshots":0,"windows":[],"changes":[],
-            "clustering_bytes":[]}"#;
+        let report = r#"{"interval_ms":1,"snapshots":0,"windows":[],"changes":[]}"#;
         s.set_detect(serde_json::from_str(report).expect("a detection report"));
         drop(s);
         assert_eq!(stage::mask(), 0, "the drop disarms every layer");

@@ -10,8 +10,9 @@ use crp_netsim::{SimDuration, SimTime};
 use crp_telemetry::profile::ProfileNode;
 use crp_telemetry::{mem, profile, stage, timeseries, trace};
 
-/// Names the stages carried before the registry named each once, and
-/// the `event.<name>` counters of the retired record stream.
+/// Names the stages carried before the registry named each once, the
+/// `event.<name>` counters of the retired record stream, and the series
+/// of the CDN's remap observer and the structural size estimates.
 const RETIRED: &[&str] = &[
     "cdn.answer",
     "cdn.queries",
@@ -40,6 +41,10 @@ const RETIRED: &[&str] = &[
     "event.scenario.host_observed",
     "event.meridian.entry_fault",
     "event.detect.change",
+    "cdn.remap.events",
+    "mem.footprint.core.service",
+    "mem.footprint.cdn.tables",
+    "mem.footprint.cdn.remap_observer",
 ];
 
 fn profile_names<'a>(node: &'a ProfileNode, out: &mut Vec<&'a str>) {

@@ -51,7 +51,6 @@ fn fig9_observe_leaves_one_manifest_whose_sections_agree() {
     for name in [
         stage::CORE_TRACKER.calls,
         stage::CDN_AUTHORITATIVE_ANSWER.calls,
-        "cdn.remap.events",
     ] {
         let counted = summary.counter(name).unwrap_or(0);
         assert!(counted > 0, "expected counter `{name}` to be non-zero");

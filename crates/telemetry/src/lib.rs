@@ -59,7 +59,7 @@ pub mod summary;
 pub mod timeseries;
 pub mod trace;
 
-pub use mem::{DomainMem, MemFootprint, MemSnapshot};
+pub use mem::{DomainMem, MemSnapshot};
 pub use metrics::{
     default_bounds, default_bounds_cached, unit_bounds, unit_bounds_cached, Histogram,
     HistogramSummary,

@@ -1,5 +1,5 @@
-//! Memory observability: allocation attribution by subsystem and
-//! capacity gauges — wall-clock-side, like [`profile`](crate::profile).
+//! Memory observability: allocation attribution by subsystem —
+//! wall-clock-side, like [`profile`](crate::profile).
 //!
 //! The [`CountingAllocator`](crate::profile::CountingAllocator) reports
 //! process-wide allocation pressure; this module says *who* allocated.
@@ -411,56 +411,6 @@ impl MemSnapshot {
     }
 }
 
-// ---------------------------------------------------------------------
-// Capacity gauges
-// ---------------------------------------------------------------------
-
-/// Deep-size accounting for resident structures — the capacity-gauge
-/// half of memory observability.
-///
-/// Implementations report the bytes the structure holds *beyond*
-/// `size_of::<Self>()`-style shallow size: heap buffers, map nodes,
-/// and owned children, estimated structurally (element counts times
-/// element footprints). The estimate trades allocator-level exactness
-/// for zero dependencies and deterministic results, which is what the
-/// occupancy time series needs.
-pub trait MemFootprint {
-    /// Estimated resident bytes of this structure, deep.
-    fn mem_footprint(&self) -> usize;
-}
-
-impl<T: MemFootprint> MemFootprint for &T {
-    fn mem_footprint(&self) -> usize {
-        (**self).mem_footprint()
-    }
-}
-
-/// Estimated per-entry overhead of an ordered map (`BTreeMap`) node:
-/// amortized slack from partially-filled leaves plus parent edges.
-pub const ORDERED_MAP_ENTRY_OVERHEAD: usize = 16;
-
-/// Estimated per-entry overhead of a hash map: control bytes plus the
-/// ~1/3 slack a load factor of 7/8-with-doubling leaves resident.
-pub const HASH_MAP_ENTRY_OVERHEAD: usize = 24;
-
-/// Deep size of a `Vec`'s heap buffer (capacity, not length — slack is
-/// resident too). Element-owned heap data must be added by the caller.
-pub fn vec_footprint<T>(v: &Vec<T>) -> usize {
-    v.capacity() * std::mem::size_of::<T>()
-}
-
-/// Estimated node bytes of an ordered map with `len` entries of
-/// `entry_size` bytes each (key + value, shallow).
-pub fn ordered_map_footprint(len: usize, entry_size: usize) -> usize {
-    len * (entry_size + ORDERED_MAP_ENTRY_OVERHEAD)
-}
-
-/// Estimated table bytes of a hash map with `len` entries of
-/// `entry_size` bytes each (key + value, shallow).
-pub fn hash_map_footprint(len: usize, entry_size: usize) -> usize {
-    len * (entry_size + HASH_MAP_ENTRY_OVERHEAD)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,17 +563,5 @@ mod tests {
         }
         nest(STACK_DEPTH + 8);
         let _ = TLS.try_with(|tls| assert_eq!(tls.depth.get(), 0, "stack must unwind to empty"));
-    }
-
-    #[test]
-    fn footprint_trait_passes_through_references() {
-        struct Fixed;
-        impl MemFootprint for Fixed {
-            fn mem_footprint(&self) -> usize {
-                42
-            }
-        }
-        let f = &Fixed;
-        assert_eq!(MemFootprint::mem_footprint(&f), 42);
     }
 }

@@ -3,16 +3,15 @@
 //!
 //! Everything else in this crate is keyed on simulated time so that
 //! enabling telemetry cannot perturb a seeded experiment. That contract
-//! deliberately leaves a blind spot: nothing attributes *real* time (or
-//! memory) to the hot paths. This module fills the gap with
-//! hierarchical wall-clock scopes:
+//! deliberately leaves a blind spot: nothing attributes *real* time to
+//! the hot paths. This module fills the gap with hierarchical
+//! wall-clock scopes:
 //!
 //! - [`profile_scope!`] opens a named scope tied to the enclosing
 //!   block; nested scopes form a call tree ("flamegraph-style").
-//! - Each tree node aggregates call count, total wall-clock time, self
-//!   time (total minus children), and — when the optional
-//!   [`CountingAllocator`] is installed as the binary's global
-//!   allocator — bytes allocated and allocation counts.
+//! - Each tree node aggregates call count, total wall-clock time and
+//!   self time (total minus children). Allocations are attributed per
+//!   stage by [`mem`](crate::mem), not here.
 //! - [`finish`] condenses the tree into a serializable [`ProfileNode`]
 //!   for `<experiment>_profile.json`.
 //!
@@ -65,8 +64,6 @@ struct NodeData {
     name: &'static str,
     calls: u64,
     total_ns: u64,
-    alloc_bytes: u64,
-    allocs: u64,
     /// Children by scope name — a `BTreeMap` so the serialized tree
     /// lists children in a stable (name-sorted) order.
     children: BTreeMap<&'static str, usize>,
@@ -78,8 +75,6 @@ impl NodeData {
             name,
             calls: 0,
             total_ns: 0,
-            alloc_bytes: 0,
-            allocs: 0,
             children: BTreeMap::new(),
         }
     }
@@ -141,19 +136,16 @@ impl Profiler {
     }
 
     /// Closes the scope opened as `node`, charging it `elapsed_ns` of
-    /// wall-clock time and the given allocation deltas. Unbalanced
-    /// exits (a guard outliving inner guards) close the inner scopes
-    /// silently — the profiler is best-effort bookkeeping, never a
-    /// source of panics.
-    pub fn exit(&mut self, node: usize, elapsed_ns: u64, alloc_bytes: u64, allocs: u64) {
+    /// wall-clock time. Unbalanced exits (a guard outliving inner
+    /// guards) close the inner scopes silently — the profiler is
+    /// best-effort bookkeeping, never a source of panics.
+    pub fn exit(&mut self, node: usize, elapsed_ns: u64) {
         if let Some(open) = self.stack.iter().rposition(|&n| n == node) {
             self.stack.truncate(open);
         }
         if let Some(data) = self.nodes.get_mut(node) {
             data.calls = data.calls.saturating_add(1);
             data.total_ns = data.total_ns.saturating_add(elapsed_ns);
-            data.alloc_bytes = data.alloc_bytes.saturating_add(alloc_bytes);
-            data.allocs = data.allocs.saturating_add(allocs);
         }
     }
 
@@ -195,8 +187,6 @@ impl Profiler {
             calls: data.calls,
             total_ns: data.total_ns,
             self_ns: data.total_ns.saturating_sub(child_ns),
-            alloc_bytes: data.alloc_bytes,
-            allocs: data.allocs,
             children,
         }
     }
@@ -214,11 +204,6 @@ pub struct ProfileNode {
     pub total_ns: u64,
     /// `total_ns` minus the children's `total_ns` (saturating).
     pub self_ns: u64,
-    /// Bytes allocated while the scope was open (0 unless the binary
-    /// installs [`CountingAllocator`]).
-    pub alloc_bytes: u64,
-    /// Heap allocations while the scope was open (same caveat).
-    pub allocs: u64,
     /// Child scopes, name-sorted.
     pub children: Vec<ProfileNode>,
 }
@@ -306,8 +291,6 @@ fn open_scope(name: &'static str) -> ScopeGuard {
     ScopeGuard {
         node,
         epoch: EPOCH.load(Ordering::Relaxed),
-        bytes_at_enter: allocated_bytes(),
-        allocs_at_enter: allocation_count(),
         #[expect(
             clippy::disallowed_methods,
             reason = "the wall-clock profiler; its readings never reach SimTime output"
@@ -320,8 +303,6 @@ fn open_scope(name: &'static str) -> ScopeGuard {
 pub struct ScopeGuard {
     node: usize,
     epoch: u64,
-    bytes_at_enter: u64,
-    allocs_at_enter: u64,
     /// `None` marks the inert (profiling-disabled) guard.
     start: Option<Instant>,
 }
@@ -331,8 +312,6 @@ impl ScopeGuard {
         ScopeGuard {
             node: 0,
             epoch: 0,
-            bytes_at_enter: 0,
-            allocs_at_enter: 0,
             start: None,
         }
     }
@@ -347,14 +326,12 @@ impl Drop for ScopeGuard {
         if !profiling() {
             return;
         }
-        let bytes = allocated_bytes().saturating_sub(self.bytes_at_enter);
-        let allocs = allocation_count().saturating_sub(self.allocs_at_enter);
         let mut slot = profiler_slot();
         if EPOCH.load(Ordering::Relaxed) != self.epoch {
             return; // the profiler was restarted under this guard
         }
         if let Some(profiler) = slot.as_mut() {
-            profiler.exit(self.node, elapsed_ns, bytes, allocs);
+            profiler.exit(self.node, elapsed_ns);
         }
     }
 }
@@ -430,7 +407,6 @@ fn open_stage(
 // Counting allocator
 // ---------------------------------------------------------------------
 
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 static ALLOCATION_COUNT: AtomicU64 = AtomicU64::new(0);
 
 /// A global allocator that counts allocations on top of [`System`].
@@ -443,10 +419,10 @@ static ALLOCATION_COUNT: AtomicU64 = AtomicU64::new(0);
 ///     crp_telemetry::profile::CountingAllocator;
 /// ```
 ///
-/// With it installed, every profile scope additionally reports bytes
-/// allocated and allocation counts; without it both read as zero. The
-/// counters are monotonic totals (deallocations are not subtracted), so
-/// scope deltas measure allocation *pressure*, not live heap size.
+/// With it installed, [`allocation_count`] reads the process's total
+/// heap allocations (reallocations included; deallocations are not
+/// subtracted) and [`mem`](crate::mem) attributes each allocation to
+/// the innermost open stage; without it both read as zero.
 pub struct CountingAllocator;
 
 // SAFETY: delegates every allocation verbatim to `System`; the only
@@ -456,7 +432,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
-            ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
             ALLOCATION_COUNT.fetch_add(1, Ordering::Relaxed);
             crate::mem::note_alloc(layout.size());
         }
@@ -466,7 +441,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc_zeroed(layout);
         if !ptr.is_null() {
-            ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
             ALLOCATION_COUNT.fetch_add(1, Ordering::Relaxed);
             crate::mem::note_alloc(layout.size());
         }
@@ -481,8 +455,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let out = System.realloc(ptr, layout, new_size);
         if !out.is_null() {
-            let grown = new_size.saturating_sub(layout.size());
-            ALLOCATED_BYTES.fetch_add(grown as u64, Ordering::Relaxed);
             ALLOCATION_COUNT.fetch_add(1, Ordering::Relaxed);
             crate::mem::note_realloc(layout.size(), new_size);
         }
@@ -490,13 +462,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 }
 
-/// Total bytes allocated so far (0 unless [`CountingAllocator`] is the
+/// Total heap allocations so far (0 unless [`CountingAllocator`] is the
 /// global allocator).
-pub fn allocated_bytes() -> u64 {
-    ALLOCATED_BYTES.load(Ordering::Relaxed)
-}
-
-/// Total heap allocations so far (same caveat).
 pub fn allocation_count() -> u64 {
     ALLOCATION_COUNT.load(Ordering::Relaxed)
 }
@@ -580,8 +547,8 @@ mod tests {
         for _ in 0..3 {
             let outer = p.enter("outer");
             let inner = p.enter("inner");
-            p.exit(inner, 10, 64, 2);
-            p.exit(outer, 25, 100, 3);
+            p.exit(inner, 10);
+            p.exit(outer, 25);
         }
         let tree = p.tree_with_root_total(100);
         assert_eq!(tree.name, "root");
@@ -592,13 +559,10 @@ mod tests {
         assert_eq!(outer.calls, 3);
         assert_eq!(outer.total_ns, 75);
         assert_eq!(outer.self_ns, 75 - 30);
-        assert_eq!(outer.alloc_bytes, 300);
-        assert_eq!(outer.allocs, 9);
         let inner = outer.child("inner").expect("inner nested under outer");
         assert_eq!(inner.calls, 3);
         assert_eq!(inner.total_ns, 30);
         assert_eq!(inner.self_ns, 30);
-        assert_eq!(inner.alloc_bytes, 192);
         assert_eq!(tree.node_count(), 3);
     }
 
@@ -607,12 +571,12 @@ mod tests {
         let mut p = Profiler::new();
         let a = p.enter("a");
         let shared = p.enter("shared");
-        p.exit(shared, 5, 0, 0);
-        p.exit(a, 10, 0, 0);
+        p.exit(shared, 5);
+        p.exit(a, 10);
         let b = p.enter("b");
         let shared2 = p.enter("shared");
-        p.exit(shared2, 7, 0, 0);
-        p.exit(b, 9, 0, 0);
+        p.exit(shared2, 7);
+        p.exit(b, 9);
         assert_ne!(shared, shared2, "path-sensitive aggregation");
         let tree = p.tree_with_root_total(19);
         let under_a = tree.child("a").and_then(|n| n.child("shared"));
@@ -626,7 +590,7 @@ mod tests {
         let mut p = Profiler::new();
         for i in 0..5u64 {
             let n = p.enter("hot");
-            p.exit(n, i, 0, 0);
+            p.exit(n, i);
         }
         let tree = p.tree_with_root_total(10);
         assert_eq!(tree.children.len(), 1);
@@ -639,10 +603,10 @@ mod tests {
         let mut p = Profiler::new();
         let outer = p.enter("outer");
         let _inner = p.enter("inner"); // never explicitly exited
-        p.exit(outer, 50, 0, 0);
+        p.exit(outer, 50);
         // The stack is empty again: a new scope lands under the root.
         let next = p.enter("next");
-        p.exit(next, 1, 0, 0);
+        p.exit(next, 1);
         let tree = p.tree_with_root_total(51);
         assert!(tree.child("next").is_some(), "stack recovered: {tree:?}");
         assert_eq!(tree.child("outer").map(|n| n.calls), Some(1));
@@ -661,7 +625,7 @@ mod tests {
                 "alpha" => "alpha",
                 _ => "mid",
             });
-            p.exit(n, 1, 0, 0);
+            p.exit(n, 1);
         }
         let tree = p.tree_with_root_total(3);
         let names: Vec<&str> = tree.children.iter().map(|c| c.name.as_str()).collect();
@@ -675,14 +639,12 @@ mod tests {
     fn saturation_instead_of_overflow() {
         let mut p = Profiler::new();
         let n = p.enter("x");
-        p.exit(n, u64::MAX - 1, u64::MAX, u64::MAX);
+        p.exit(n, u64::MAX - 1);
         let m = p.enter("x");
-        p.exit(m, 5, 1, 1);
+        p.exit(m, 5);
         let tree = p.tree_with_root_total(1);
         let x = tree.child("x").expect("node");
         assert_eq!(x.total_ns, u64::MAX);
-        assert_eq!(x.alloc_bytes, u64::MAX);
-        assert_eq!(x.allocs, u64::MAX);
         // Root self time saturates at zero rather than wrapping.
         assert_eq!(tree.self_ns, 0);
     }

@@ -433,43 +433,6 @@ pub fn bump(time_ms: u64, name: &str, delta: u64) {
     record(time_ms, name, delta as f64);
 }
 
-impl crate::mem::MemFootprint for Window {
-    fn mem_footprint(&self) -> usize {
-        crate::mem::vec_footprint(&self.buckets) + crate::mem::vec_footprint(&self.exemplars)
-    }
-}
-
-impl crate::mem::MemFootprint for Series {
-    fn mem_footprint(&self) -> usize {
-        let tiers: usize = self
-            .tiers
-            .iter()
-            .map(|t| {
-                std::mem::size_of::<Tier>()
-                    + crate::mem::vec_footprint(&t.slots)
-                    + t.slots
-                        .iter()
-                        .map(crate::mem::MemFootprint::mem_footprint)
-                        .sum::<usize>()
-            })
-            .sum();
-        self.total.mem_footprint() + tiers
-    }
-}
-
-impl crate::mem::MemFootprint for TimeSeriesStore {
-    fn mem_footprint(&self) -> usize {
-        crate::mem::ordered_map_footprint(
-            self.series.len(),
-            std::mem::size_of::<String>() + std::mem::size_of::<Series>(),
-        ) + self
-            .series
-            .iter()
-            .map(|(name, s)| name.capacity() + s.mem_footprint())
-            .sum::<usize>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

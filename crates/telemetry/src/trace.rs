@@ -182,22 +182,6 @@ impl TraceStore {
     }
 }
 
-impl crate::mem::MemFootprint for TraceStore {
-    fn mem_footprint(&self) -> usize {
-        crate::mem::vec_footprint(&self.traces)
-            + self
-                .traces
-                .iter()
-                .map(|t| crate::mem::vec_footprint(&t.spans))
-                .sum::<usize>()
-            + crate::mem::ordered_map_footprint(
-                self.index.len(),
-                std::mem::size_of::<u64>() + std::mem::size_of::<usize>(),
-            )
-            + crate::mem::vec_footprint(&self.query_set)
-    }
-}
-
 /// Serializable log of every sampled trace.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceLog {
@@ -217,21 +201,6 @@ impl TraceLog {
     /// The trace with the given 16-hex-digit id, if sampled.
     pub fn trace(&self, id_hex: &str) -> Option<&TraceTree> {
         self.traces.iter().find(|t| t.id == id_hex)
-    }
-}
-
-impl crate::mem::MemFootprint for TraceLog {
-    fn mem_footprint(&self) -> usize {
-        crate::mem::vec_footprint(&self.traces)
-            + self
-                .traces
-                .iter()
-                .map(|t| {
-                    t.id.capacity()
-                        + crate::mem::vec_footprint(&t.spans)
-                        + t.spans.iter().map(|s| s.name.capacity()).sum::<usize>()
-                })
-                .sum::<usize>()
     }
 }
 

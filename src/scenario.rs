@@ -211,27 +211,6 @@ impl Scenario {
                 }
             }
         }
-        if crp_telemetry::timeseries::enabled() {
-            use crp_telemetry::MemFootprint;
-            crp_telemetry::observe_at(
-                end.as_millis(),
-                "mem.footprint.core.service",
-                service.mem_footprint() as f64,
-            );
-            crp_telemetry::observe_at(
-                end.as_millis(),
-                "mem.footprint.cdn.tables",
-                self.cdn.mem_footprint() as f64,
-            );
-            // Occupancy of the bounded remap-event observer, so the
-            // report dashboard charts how close the campaign came to the
-            // capacity at which remap ground truth starts dropping.
-            crp_telemetry::observe_at(
-                end.as_millis(),
-                "mem.footprint.cdn.remap_observer",
-                self.cdn.remap_observer_footprint() as f64,
-            );
-        }
         service
     }
 

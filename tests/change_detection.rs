@@ -1,9 +1,9 @@
-//! Integration tests for scripted infrastructure events: the CDN's own
-//! remap ground truth must line up exactly with the event script when
-//! every stochastic knob is turned off.
+//! Integration tests for scripted infrastructure events: the remaps a
+//! client sees from outside the CDN must line up exactly with the event
+//! script when every stochastic knob is turned off.
 
 use crp::{CdnProbe, Scenario, ScenarioConfig};
-use crp_cdn::{EventKind, EventScript, MappingConfig};
+use crp_cdn::{EventKind, EventScript, MappingConfig, ReplicaId};
 use crp_core::ObservationSource;
 use crp_netsim::{LatencyConfig, SimDuration, SimTime};
 
@@ -41,10 +41,29 @@ fn noiseless_config(seed: u64, events: Option<EventScript>) -> ScenarioConfig {
     }
 }
 
-/// Zero noise, one client, one customer, one scripted event: the CDN's
-/// `remap_events` counter — its ground-truth observer of mapping churn —
-/// must equal the scripted event count exactly. No event is missed and
-/// nothing else in the noiseless world produces a remap.
+/// Probes the scenario's one client every `interval` over `[0, horizon)`
+/// and counts how often its answer differs from the previous probe's.
+/// Under [`noiseless_mapping`] each answer is the client's one best
+/// replica, so every change is a remap.
+fn answer_changes(scenario: &Scenario, horizon: SimTime, interval: SimDuration) -> usize {
+    let client = scenario.clients()[0];
+    let mut probe = CdnProbe::new(scenario.cdn(), client, scenario.names().to_vec());
+    let mut previous: Option<Vec<ReplicaId>> = None;
+    let mut changes = 0;
+    for t in SimTime::ZERO.iter_until(horizon, interval) {
+        let answer = probe.observe(t).expect("noiseless probe always answers");
+        if previous.as_ref().is_some_and(|p| *p != answer) {
+            changes += 1;
+        }
+        previous = Some(answer);
+    }
+    changes
+}
+
+/// Zero noise, one client, one customer, one scripted event: the number
+/// of times the probe's answer changes must equal the scripted event
+/// count exactly. No event is missed and nothing else in the noiseless
+/// world produces a remap.
 #[test]
 fn zero_noise_single_event_remap_ground_truth_is_exact() {
     let seed = 17;
@@ -74,39 +93,28 @@ fn zero_noise_single_event_remap_ground_truth_is_exact() {
     );
     let scenario = Scenario::build(noiseless_config(seed, Some(script)));
     assert_eq!(scenario.event_log().len(), 1, "one ground-truth record");
-    assert_eq!(
-        scenario.cdn().stats().remap_events,
-        0,
-        "quiet before probes"
-    );
 
     // Probe across the flip. With zero noise the best replica is a pure
     // function of the active set, so exactly the scripted flip — and
     // nothing else — moves the client.
-    let client = scenario.clients()[0];
-    let mut probe = CdnProbe::new(scenario.cdn(), client, scenario.names().to_vec());
-    for t in SimTime::ZERO.iter_until(horizon, interval) {
-        let _ = probe.observe(t);
-    }
-
-    let stats = scenario.cdn().stats();
     assert_eq!(
-        stats.remap_events,
-        scenario.event_log().len() as u64,
-        "remap ground truth must exactly match the scripted event count"
+        answer_changes(&scenario, horizon, interval),
+        scenario.event_log().len(),
+        "observed remaps must exactly match the scripted event count"
     );
-    assert_eq!(stats.remap_observer_dropped, 0, "observer table never full");
 }
 
-/// The same noiseless world without any script records zero remaps:
-/// the exactness above is not an accident of the counter firing often.
+/// The same noiseless world without any script sees zero remaps: the
+/// exactness above is not an accident of answers changing often.
 #[test]
 fn zero_noise_quiet_world_records_no_remaps() {
     let scenario = Scenario::build(noiseless_config(17, None));
-    let client = scenario.clients()[0];
-    let mut probe = CdnProbe::new(scenario.cdn(), client, scenario.names().to_vec());
-    for t in SimTime::ZERO.iter_until(SimTime::from_hours(4), SimDuration::from_mins(10)) {
-        let _ = probe.observe(t);
-    }
-    assert_eq!(scenario.cdn().stats().remap_events, 0);
+    assert_eq!(
+        answer_changes(
+            &scenario,
+            SimTime::from_hours(4),
+            SimDuration::from_mins(10)
+        ),
+        0
+    );
 }

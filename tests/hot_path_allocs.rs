@@ -190,7 +190,7 @@ fn stages_allocate_their_pinned_counts() {
     pin(
         &world,
         &stage::CDN_AUTHORITATIVE_ANSWER,
-        if debug { 2_649 } else { 921 },
+        if debug { 2_645 } else { 917 },
     );
     pin(&world, &stage::CORE_TRACKER, 12);
     pin(&world, &stage::CORE_RATIO_MAP, 64);
